@@ -20,7 +20,6 @@ from .engine import (
     RTIMER_HZ,
     Engine,
     RunSummary,
-    SimEvent,
     seconds_to_ticks,
     ticks_to_seconds,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "ScenarioError",
-    "SimEvent",
     "SimRun",
     "Trace",
     "TraceRow",

@@ -41,35 +41,49 @@ class EnergestLedger:
         """Accrue ticks since the last state changes into the current states."""
         if now < self.last_cpu_change or now < self.last_radio_change:
             raise ValueError(f"settle at tick {now} precedes a recorded state change")
-        cpu_delta = now - self.last_cpu_change
-        if self.cpu_state is CpuState.ACTIVE:
-            self.cpu_ticks += cpu_delta
-        else:
-            self.lpm_ticks += cpu_delta
-        self.last_cpu_change = now
-        radio_delta = now - self.last_radio_change
-        if self.radio_state is RadioState.TX:
-            self.tx_ticks += radio_delta
-        elif self.radio_state is RadioState.RX:
-            self.rx_ticks += radio_delta
-        self.last_radio_change = now
+        self._accrue_cpu(now)
+        self._accrue_radio(now)
         return self
 
     def transition(self, domain: Domain, new_state, now: TickTime) -> "EnergestLedger":
-        """Settle, then swap the state tag for one domain."""
+        """Accrue the changed domain up to now, then swap its state tag.
+
+        The other domain keeps accruing lazily until its own next change or
+        the next settle(), so sampled totals equal settling both every time.
+        """
         if domain is Domain.CPU:
             if not isinstance(new_state, CpuState):
                 raise ValueError(f"invalid CPU state: {new_state!r}")
-            self.settle(now)
+            self._accrue_cpu(now)
             self.cpu_state = new_state
         elif domain is Domain.RADIO:
             if not isinstance(new_state, RadioState):
                 raise ValueError(f"invalid radio state: {new_state!r}")
-            self.settle(now)
+            self._accrue_radio(now)
             self.radio_state = new_state
         else:
             raise ValueError(f"unknown domain: {domain!r}")
         return self
+
+    def _accrue_cpu(self, now: TickTime) -> None:
+        delta = now - self.last_cpu_change
+        if delta < 0:
+            raise ValueError(f"CPU change at tick {now} precedes the last one")
+        if self.cpu_state is CpuState.ACTIVE:
+            self.cpu_ticks += delta
+        else:
+            self.lpm_ticks += delta
+        self.last_cpu_change = now
+
+    def _accrue_radio(self, now: TickTime) -> None:
+        delta = now - self.last_radio_change
+        if delta < 0:
+            raise ValueError(f"radio change at tick {now} precedes the last one")
+        if self.radio_state is RadioState.TX:
+            self.tx_ticks += delta
+        elif self.radio_state is RadioState.RX:
+            self.rx_ticks += delta
+        self.last_radio_change = now
 
     def snapshot(self) -> "EnergestLedger":
         return replace(self)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 # RTimer ticks per second on the modeled platform.
@@ -27,18 +27,6 @@ def ticks_to_seconds(ticks: TickTime) -> float:
     return ticks / RTIMER_HZ
 
 
-@dataclass
-class SimEvent:
-    """One queued occurrence; dispatch order is (fire_at, seq)."""
-
-    fire_at: TickTime
-    target: str = ""
-    kind: str = ""
-    payload: Any = None
-    seq: int = 0
-    cancelled: bool = False
-
-
 @dataclass(frozen=True)
 class RunSummary:
     events_dispatched: int
@@ -46,71 +34,57 @@ class RunSummary:
 
 
 class Engine:
-    """Single-threaded event loop with a seeded RNG for all stochastic draws."""
+    """Single-threaded event loop with a seeded RNG for all stochastic draws.
+
+    The queue is a heap of (fire_at, seq, fn, args) tuples; seq is unique, so
+    ties on fire_at dispatch in scheduling order and fn is never compared.
+    Cancelling drops the id from the live set and the entry is skipped when
+    it reaches the top of the heap.
+    """
 
     def __init__(self, seed: int = 0):
         self.now: TickTime = 0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[TickTime, int, SimEvent]] = []
+        self._heap: list[tuple[TickTime, int, Callable, tuple]] = []
         self._next_seq = 1
-        self._live: dict[int, SimEvent] = {}
-        self._handlers: dict[str, Callable[[SimEvent], None]] = {}
-
-    def register(self, target: str, handler: Callable[[SimEvent], None]) -> None:
-        self._handlers[target] = handler
-
-    def schedule(self, event: SimEvent) -> int:
-        """Enqueue an event; returns an id usable with cancel()."""
-        if event.fire_at < self.now:
-            raise ValueError(
-                f"schedule at tick {event.fire_at} is in the past (now {self.now})"
-            )
-        seq = self._next_seq
-        self._next_seq += 1
-        event.seq = seq
-        heapq.heappush(self._heap, (event.fire_at, seq, event))
-        self._live[seq] = event
-        return seq
+        self._live: set[int] = set()
 
     def call_at(self, fire_at: TickTime, fn: Callable, *args: Any) -> int:
-        """Schedule a plain callback; sugar over schedule()."""
-        return self.schedule(SimEvent(fire_at=fire_at, kind="call", payload=(fn, args)))
+        """Schedule fn(*args) at tick fire_at; returns an id usable with cancel()."""
+        if fire_at < self.now:
+            raise ValueError(f"schedule at tick {fire_at} is in the past (now {self.now})")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, args))
+        self._live.add(seq)
+        return seq
 
     def call_in(self, delay_ticks: TickTime, fn: Callable, *args: Any) -> int:
         return self.call_at(self.now + delay_ticks, fn, *args)
 
     def cancel(self, event_id: int) -> bool:
         """True iff the event existed and had not fired; cancelled events never run."""
-        event = self._live.pop(event_id, None)
-        if event is None:
-            return False
-        event.cancelled = True
-        return True
+        if event_id in self._live:
+            self._live.remove(event_id)
+            return True
+        return False
 
     def run(self, until: TickTime) -> RunSummary:
         """Dispatch every event with fire_at <= until in (fire_at, seq) order."""
         if until < self.now:
             raise ValueError(f"run until tick {until} is in the past (now {self.now})")
+        heap, live, pop = self._heap, self._live, heapq.heappop
         dispatched = 0
-        while self._heap and self._heap[0][0] <= until:
-            fire_at, seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
+        while heap and heap[0][0] <= until:
+            fire_at, seq, fn, args = pop(heap)
+            if seq not in live:
                 continue
-            del self._live[seq]
+            live.remove(seq)
             self.now = fire_at
             dispatched += 1
-            self._dispatch(event)
+            fn(*args)
         self.now = until
         return RunSummary(dispatched, self.now)
 
     def pending(self) -> int:
         return len(self._live)
-
-    def _dispatch(self, event: SimEvent) -> None:
-        if event.kind == "call":
-            fn, args = event.payload
-            fn(*args)
-            return
-        handler = self._handlers.get(event.target)
-        if handler is not None:
-            handler(event)

@@ -109,6 +109,16 @@ class ScenarioConfig:
             raise ScenarioError("qos must be 0 or 1")
         if not 0.0 <= self.tx_success <= 1.0 or not 0.0 <= self.rx_success <= 1.0:
             raise ScenarioError("success probabilities must lie in [0, 1]")
+        if self.payload_bytes < 0:
+            raise ScenarioError("payload_bytes must be >= 0")
+        if self.duty.enabled:
+            rate = self.duty.check_rate_hz
+            if rate <= 0 or RTIMER_HZ % rate != 0:
+                raise ScenarioError(
+                    f"duty.check_rate_hz ({rate}) must be positive and divide {RTIMER_HZ}"
+                )
+            if self.duty.check_duration_ticks < 0:
+                raise ScenarioError("duty.check_duration_ticks must be >= 0")
         return self
 
     def client_ids(self) -> list[str]:

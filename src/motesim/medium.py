@@ -86,21 +86,21 @@ class LinkModel:
     def in_range(self, a: str, b: str) -> bool:
         return self.distance(a, b) <= self.range_m
 
-    # Probability 1.0 (or 0.0) short-circuits without consuming a random draw,
-    # so loss-free runs are reproducible independently of the RNG stream.
     def tx_passes(self, rng) -> bool:
-        if self.tx_success >= 1.0:
-            return True
-        if self.tx_success <= 0.0:
-            return False
-        return rng.random() < self.tx_success
+        return _draw_passes(self.tx_success, rng)
 
     def rx_passes(self, rng) -> bool:
-        if self.rx_success >= 1.0:
-            return True
-        if self.rx_success <= 0.0:
-            return False
-        return rng.random() < self.rx_success
+        return _draw_passes(self.rx_success, rng)
+
+
+def _draw_passes(probability: float, rng) -> bool:
+    # Probability 1.0 (or 0.0) short-circuits without consuming a random draw,
+    # so loss-free runs are reproducible independently of the RNG stream.
+    if probability >= 1.0:
+        return True
+    if probability <= 0.0:
+        return False
+    return rng.random() < probability
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,11 @@ class StreamConn:
 
 
 class RadioMedium:
-    """Node registry plus the broadcast propagation rule."""
+    """Node registry plus the broadcast propagation rule.
+
+    Positions never move, so each source's in-range listeners are computed
+    once, in registration order, and reused until the next add_node().
+    """
 
     def __init__(self, engine: Engine, link: LinkModel, overheads: Overheads = Overheads()):
         self.engine = engine
@@ -157,11 +161,22 @@ class RadioMedium:
         self.overheads = overheads
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
+        self._in_range: dict[str, list["Node"]] = {}
 
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
             raise ValueError(f"no position for node {node.node_id!r}")
         self.nodes[node.node_id] = node
+        self._in_range.clear()
+
+    def _listeners(self, src: str) -> list["Node"]:
+        """Nodes other than src within radio range of it, in registration order."""
+        listeners = self._in_range.get(src)
+        if listeners is None:
+            listeners = [node for node_id, node in self.nodes.items()
+                         if node_id != src and self.link.in_range(src, node_id)]
+            self._in_range[src] = listeners
+        return listeners
 
     def broadcast(self, frame: RadioFrame, now: TickTime) -> list[str]:
         """Propagate a frame already on air; returns ids of receiving nodes.
@@ -169,24 +184,41 @@ class RadioMedium:
         Every in-range listener accrues RX for the airtime span; the frame is
         delivered only to its addressee (or everyone, for broadcast) and only
         when the success draws pass. Loss burns energy on both sides.
+
+        Duty-cycled listeners whose receive hold this frame extended get one
+        shared end-of-reception event at the frame's end tick. It is queued
+        after the deliveries but before the sender's end of TX; deliveries
+        touch only the CPU and ending a hold only the radio, so the two
+        commute within that tick.
         """
         air = airtime_ticks(frame.length_bytes)
-        tx_ok = self.link.tx_passes(self.engine.rng)
+        end = now + air
+        rng = self.engine.rng
+        tx_ok = self.link.tx_passes(rng)
+        dst = frame.dst
         delivered = []
-        for node_id, node in self.nodes.items():
-            if node_id == frame.src:
-                continue
-            if not self.link.in_range(frame.src, node_id):
-                continue
+        holds_ended = []
+        for node in self._listeners(frame.src):
+            extends_hold = end > node._rx_hold_until
             if not node.hear(now, air):
                 continue
-            if frame.dst not in (node_id, BROADCAST):
+            if extends_hold and node.duty.enabled:
+                holds_ended.append(node)
+            node_id = node.node_id
+            if dst != node_id and dst != BROADCAST:
                 continue
-            if not tx_ok or not self.link.rx_passes(self.engine.rng):
+            if not tx_ok or not self.link.rx_passes(rng):
                 continue
             delivered.append(node_id)
-            self.engine.call_at(now + air, node.deliver, frame)
+            self.engine.call_at(end, node.deliver, frame)
+        if holds_ended:
+            self.engine.call_at(end, _end_receptions, holds_ended)
         return delivered
+
+
+def _end_receptions(listeners: list["Node"]) -> None:
+    for node in listeners:
+        node._maybe_radio_off()
 
 
 class Node:
@@ -281,7 +313,11 @@ class Node:
     # -- inbound path ------------------------------------------------------
 
     def hear(self, now: TickTime, air: int) -> bool:
-        """Accrue RX for a frame spanning [now, now + air); False if deaf (mid-TX)."""
+        """Accrue RX for a frame spanning [now, now + air); False if deaf (mid-TX).
+
+        The radio is held on until the frame ends; RadioMedium.broadcast
+        schedules the end of the hold.
+        """
         if self._tx_until > now:
             return False
         if self.ledger.radio_state is not RadioState.RX:
@@ -289,7 +325,6 @@ class Node:
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
-            self.engine.call_at(end, self._maybe_radio_off)
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -543,18 +578,3 @@ class StreamTransport:
         elif seg.seq < conn.recv_next:
             self._send_ctrl(conn, "ack", seg.seq)  # duplicate; re-ack only
 
-
-def datagram_send(node: Node, dst: str, payload: bytes) -> None:
-    node.datagrams.send(dst, payload)
-
-
-def stream_connect(node: Node, dst: str) -> StreamConn:
-    return node.streams.connect(dst)
-
-
-def stream_send(node: Node, conn: StreamConn, payload: bytes) -> None:
-    node.streams.send(conn, payload)
-
-
-def stream_close(node: Node, conn: StreamConn) -> None:
-    node.streams.close(conn)

@@ -7,7 +7,6 @@ import pytest
 from motesim.engine import (
     RTIMER_HZ,
     Engine,
-    SimEvent,
     seconds_to_ticks,
     ticks_to_seconds,
 )
@@ -129,17 +128,6 @@ def test_pending_counts_live_events():
     assert engine.pending() == 1
     engine.run(30)
     assert engine.pending() == 0
-
-
-def test_registered_handler_receives_events():
-    engine = Engine()
-    got = []
-    engine.register("sink", got.append)
-    engine.schedule(SimEvent(fire_at=5, target="sink", kind="ping", payload=42))
-    engine.run(10)
-    assert len(got) == 1
-    assert got[0].kind == "ping"
-    assert got[0].payload == 42
 
 
 def test_event_order_matches_sort_key_property():

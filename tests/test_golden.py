@@ -1,0 +1,102 @@
+"""Golden output: byte-exact trace CSVs across protocols, loss, crowding and duty cycling.
+
+Each digest is the SHA-256 over every node's trace CSV of one run, in node
+order, each prefixed by its node id. The digests were recorded from the
+simulator before the engine, medium and ledger were optimised; any change to
+them means the simulated output changed, not just its speed.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from motesim.harness import PROTOCOLS, ScenarioConfig, simulate, write_csv
+from motesim.medium import DutyCycleConfig
+
+MATRIX = list(itertools.product(PROTOCOLS, (1.0, 0.7), (1, 10), (True, False)))
+
+GOLDEN = {
+    ('mqtt', 1.0, 1, True):
+        'cf7ebd49a999092a9782dddc867ed1d0d58980f5e7d0e21a286bd34b371b2be2',
+    ('mqtt', 1.0, 1, False):
+        'a5f6d836de574aa0ae1e0331e68de48afe660d27b4130ca321ff67e8f2d9f11c',
+    ('mqtt', 1.0, 10, True):
+        '673a9b2782a3fbb591e44ab7eb010f5caa95f851ee71974796f77302ecbb1ef8',
+    ('mqtt', 1.0, 10, False):
+        'f280f83ca9e720d30bfb5b0e6ba6ac36d68163d2a8b02a40b7625bebe4797510',
+    ('mqtt', 0.7, 1, True):
+        '5efff2fc0a402ee3d31fcc6b9ca77903881d6273b7c4ed143b5231f857b8c484',
+    ('mqtt', 0.7, 1, False):
+        '29e29069dd014af0b8bd6140c35b6c871c8728e39e72c2421cd02d08f77c11ea',
+    ('mqtt', 0.7, 10, True):
+        'be51f1a14cbcee74de8272b99de68abe1187534c92f424c3248ac341ddb6f531',
+    ('mqtt', 0.7, 10, False):
+        'b30ea11b806dde67b4234e958a5427138e14fd06f06b5c6b10e511d0dcaa9d7e',
+    ('mqtt-sn', 1.0, 1, True):
+        '43c5f27085dad9fabf25bc67e6ef1b481b32362c43cc11d5db836d68d9d314b9',
+    ('mqtt-sn', 1.0, 1, False):
+        '70a4a1fb1b20bff1dbe913f88501d376cd733cce4e4f9be1e26b06347afb1b49',
+    ('mqtt-sn', 1.0, 10, True):
+        '7587c6082485284d1f8b35dfca8869a13c1f56453bac538a3c7551eed6ece771',
+    ('mqtt-sn', 1.0, 10, False):
+        '7bbcbfe968d76fb62d0c49d320b2bf94ba736753e6a0a271882a86acb115d364',
+    ('mqtt-sn', 0.7, 1, True):
+        'b692fc0156aa988807e1e7251e6f892f8f950ec01232a2a881efe3530079a6e2',
+    ('mqtt-sn', 0.7, 1, False):
+        'f10757eb838a98d636dcbce7c742c36e5444c33ba7244a78bade9b708d78b930',
+    ('mqtt-sn', 0.7, 10, True):
+        '1db431f1ee8a4667cd286fb714870893c745b9d99d2601ad6d110ebb3cced59d',
+    ('mqtt-sn', 0.7, 10, False):
+        '1ecc81049780e7014850dd36a7b6a5d45953cb4fe227ff1c3dc4657d81680ed9',
+    ('coap', 1.0, 1, True):
+        '9e36583be5fb2f36e24c1f688b89c2473fea3917f72b0261cfa97eaa52b74fc5',
+    ('coap', 1.0, 1, False):
+        '6639e2f7fb993cbddf07f722f62eaf098df4c52d9c4512543ca43560050cc1a2',
+    ('coap', 1.0, 10, True):
+        'c0291c0c85f2c3dae5d5139d1eb782b8971094b685c469d5ec83987a188c5f88',
+    ('coap', 1.0, 10, False):
+        '929c8491353e6daa0ecfeadfddb40e72f4374b7e8b60f3ff0568878f5a607328',
+    ('coap', 0.7, 1, True):
+        '377abec0d760799182c875b0f9d8c84cdb78c519f397487fea99fcdec66914a3',
+    ('coap', 0.7, 1, False):
+        'acaa29891abfbdc8137f561b2123ce7a9665046b5f9de5c5b175c439e4949734',
+    ('coap', 0.7, 10, True):
+        '7f1aff89684c484afab64a92232abef5912eff9f1692bd4b8ca7d6a216dc92b1',
+    ('coap', 0.7, 10, False):
+        'f645fc9e31642ced4768cf65e1d62b99486e37038547258d26c0a20e0762f268',
+    ('http', 1.0, 1, True):
+        'f22c7ff22cc498cd0c15cf6be50b71a1cc204dac9d713b6382414ddd36afad38',
+    ('http', 1.0, 1, False):
+        '144f418762146e3438154db4d39b1adf9162335f6f2ef21f91f8f0b6093563e3',
+    ('http', 1.0, 10, True):
+        '5ebb865ac40cc942967be4075f27a42d07ea59a7e9194ea3352c99cad31705a9',
+    ('http', 1.0, 10, False):
+        '91c9089c6c22cb21a6ea2eb07b4a1b97fc7433738902c6a5a27a14fd30a58ef5',
+    ('http', 0.7, 1, True):
+        'd85616bd3f8765928eb608f312b91aba7b0237b052335fb5ef355bd120e93c0a',
+    ('http', 0.7, 1, False):
+        '4bc97da66a3c697317771886af99d8458ce2ddbe23a9d1b787a8f4ef56878b6d',
+    ('http', 0.7, 10, True):
+        '80845bf5b5d01e6098d2826145782a53b3adbd97c6abc6a2519f82b05cd3ce5e',
+    ('http', 0.7, 10, False):
+        '6a1fcdb2b3a460402d3abd621c123b4edbb7d9886738b0c67f9329c1939ea470',
+}
+
+
+def run_digest(protocol, tx_success, clients, duty, tmp_path) -> str:
+    config = ScenarioConfig(protocol=protocol, tx_success=tx_success,
+                            clients=clients, duty=DutyCycleConfig(enabled=duty))
+    sim = simulate(config)
+    digest = hashlib.sha256()
+    for node_id, trace in sim.traces.items():
+        path = tmp_path / f"{node_id}.csv"
+        write_csv(trace, path)
+        digest.update(node_id.encode() + b"\n" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("protocol,tx_success,clients,duty", MATRIX)
+def test_trace_csvs_match_golden(protocol, tx_success, clients, duty, tmp_path):
+    key = (protocol, tx_success, clients, duty)
+    assert run_digest(*key, tmp_path) == GOLDEN[key]

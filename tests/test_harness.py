@@ -20,6 +20,7 @@ from motesim.harness import (
     write_csv,
     write_report_csv,
 )
+from motesim.medium import DutyCycleConfig
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
 
@@ -56,6 +57,21 @@ def test_multi_client_ids_are_numbered():
 def test_validate_rejects_bad_values(overrides):
     with pytest.raises(ScenarioError):
         ScenarioConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(payload_bytes=-1),
+    dict(duty=DutyCycleConfig(True, 0, 32)),
+    dict(duty=DutyCycleConfig(True, 7, 32)),
+    dict(duty=DutyCycleConfig(True, 8, -5)),
+])
+def test_configs_that_would_fail_mid_run_fail_validation(overrides):
+    # each of these once passed validate() and raised a bare ValueError inside
+    # the run; simulate() must now stop at validation with a ScenarioError
+    with pytest.raises(ScenarioError):
+        ScenarioConfig(**overrides).validate()
+    with pytest.raises(ScenarioError):
+        simulate(ScenarioConfig(duration_s=10.0, **overrides))
 
 
 def test_load_scenario_full_file(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from motesim.energy import RadioState
 from motesim.engine import Engine, seconds_to_ticks
 from motesim.medium import (
     CpuCostModel,
@@ -148,6 +149,19 @@ def test_lost_frame_burns_energy_on_both_sides():
     assert nodes["b"].ledger.rx_ticks >= air
 
 
+def test_node_added_after_a_broadcast_hears_the_next_frame():
+    engine, medium, nodes = make_world()
+    nodes["a"].datagrams.send("b", b"first")
+    engine.run(seconds_to_ticks(1))
+    medium.link.positions["c"] = (5.0, 5.0)
+    late = Node("c", engine, medium, NO_DUTY)
+    got = []
+    late.datagrams.on_datagram = lambda src, data: got.append(data)
+    nodes["a"].datagrams.send("c", b"second")
+    engine.run(seconds_to_ticks(2))
+    assert got == [b"second"]
+
+
 def test_half_duplex_node_is_deaf_while_transmitting():
     engine, medium, nodes = make_world()
     nodes["a"].datagrams.send("b", bytes(20))  # 50 B frame: TX spans 112..165
@@ -224,6 +238,27 @@ def test_duty_cycled_receiver_wakes_for_frame():
     assert got == [b"ping"]
     # the reception hold costs at least the frame's airtime on top of checks
     assert nodes["b"].ledger.rx_ticks >= airtime_ticks(34)
+
+
+def test_every_duty_cycled_listener_pays_exactly_the_airtime():
+    # one frame heard by three sleeping listeners between two idle checks:
+    # each accrues the airtime in RX and is back OFF once the frame ends
+    positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0), "d": (20.0, 0.0)}
+    engine, medium, nodes = make_world(duty=DutyCycleConfig(True, 8, 32),
+                                       positions=positions)
+    listeners = [nodes[nid] for nid in ("b", "c", "d")]
+    engine.run(1000)  # past the first check, before the next at 4096
+    before = []
+    for node in listeners:
+        node.ledger.settle(engine.now)
+        before.append(node.ledger.rx_ticks)
+    nodes["a"].datagrams.send("b", bytes(20))
+    engine.run(2000)
+    frame = nodes["a"].sent_frames[0]
+    for node, rx_before in zip(listeners, before):
+        node.ledger.settle(engine.now)
+        assert node.ledger.rx_ticks - rx_before == airtime_ticks(frame.length_bytes)
+        assert node.ledger.radio_state is RadioState.OFF
 
 
 def test_tick_conservation_during_traffic():
