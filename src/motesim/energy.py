@@ -104,7 +104,6 @@ class CurrentProfile:
     tx_ma: float = 17.4
     rx_ma: float = 18.8
     voltage_v: float = 3.0
-    rtimer_hz: int = 32768
 
     def __post_init__(self):
         for name in ("cpu_active_ma", "lpm_ma", "tx_ma", "rx_ma"):
@@ -112,8 +111,6 @@ class CurrentProfile:
                 raise ValueError(f"negative current: {name}")
         if self.voltage_v <= 0:
             raise ValueError("voltage_v must be positive")
-        if self.rtimer_hz <= 0:
-            raise ValueError("rtimer_hz must be positive")
         if self.lpm_ma >= self.cpu_active_ma:
             raise ValueError("lpm_ma must be below cpu_active_ma")
 

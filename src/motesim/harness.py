@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -89,6 +89,10 @@ class ScenarioConfig:
     report_node: str = ""
 
     def validate(self) -> "ScenarioConfig":
+        for section, key, value in _scenario_items(self):
+            for number in value if isinstance(value, tuple) else (value,):
+                if isinstance(number, float) and not math.isfinite(number):
+                    raise ScenarioError(f"{section}.{key} must be finite, not {value}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r} (choose from {', '.join(PROTOCOLS)})"
@@ -97,6 +101,11 @@ class ScenarioConfig:
             raise ScenarioError("duration_s and interval_s must be positive")
         if self.interval_s > self.duration_s:
             raise ScenarioError("interval_s must not exceed duration_s")
+        if not float(self.interval_s * RTIMER_HZ).is_integer():
+            raise ScenarioError(
+                f"interval_s ({self.interval_s:g}) must be a whole number of "
+                f"1/{RTIMER_HZ} s ticks"
+            )
         intervals = self.duration_s / self.interval_s
         if abs(intervals - round(intervals)) > 1e-9:
             raise ScenarioError(
@@ -127,14 +136,31 @@ class ScenarioConfig:
         return [f"client-{i + 1}" for i in range(self.clients)]
 
 
-def _parse_option(parser, section: str, key: str, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{section}.{key}: cannot parse {raw!r}") from None
+# Scenario-file sections: the flat ScenarioConfig fields split into [scenario]
+# and [radio]; each nested config dataclass gets a section of its own.
+_RADIO_KEYS = ("range_m", "tx_success", "rx_success", "client_pos", "server_pos")
+_NESTED_SECTIONS = {"profile": "currents", "duty": "duty", "overheads": "overheads",
+                    "cpu_cost": "cpu"}
+
+
+def _scenario_items(config: ScenarioConfig):
+    """(section, key, value) for every scenario-file key, in field order."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        section = _NESTED_SECTIONS.get(f.name)
+        if section is None:
+            yield ("radio" if f.name in _RADIO_KEYS else "scenario"), f.name, value
+        else:
+            for sub in fields(value):
+                yield section, sub.name, getattr(value, sub.name)
+
+
+def scenario_schema() -> dict[str, dict[str, object]]:
+    """Section -> key -> default of the scenario file, read off the config dataclasses."""
+    schema: dict[str, dict[str, object]] = {}
+    for section, key, default in _scenario_items(ScenarioConfig()):
+        schema.setdefault(section, {})[key] = default
+    return schema
 
 
 def _cast_bool(raw: str) -> bool:
@@ -153,8 +179,21 @@ def _cast_pos(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _cast_for(default) -> Callable[[str], object]:
+    """The parse function of a key, chosen by the type of its default."""
+    if isinstance(default, bool):  # before int: bool is a subclass of int
+        return _cast_bool
+    if isinstance(default, tuple):
+        return _cast_pos
+    return type(default)
+
+
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a key-value scenario file; unspecified keys take the defaults."""
+    """Parse a key-value scenario file; unspecified keys take the defaults.
+
+    An unknown section or key is an error, so a typo cannot silently leave
+    a default in place.
+    """
     file_path = Path(path)
     if not file_path.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -164,55 +203,31 @@ def load_scenario(path) -> ScenarioConfig:
     except configparser.Error as err:
         raise ScenarioError(f"{path}: {err}") from None
 
+    schema = scenario_schema()
+    values: dict[str, dict[str, object]] = {section: {} for section in schema}
+    if parser.defaults():  # its keys would leak into every other section
+        raise ScenarioError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in schema:
+            raise ScenarioError(f"{path}: unknown section [{section}] "
+                                f"(sections: {', '.join(schema)})")
+        defaults = schema[section]
+        for key, raw in parser.items(section):
+            if key not in defaults:
+                raise ScenarioError(f"{path}: unknown key {section}.{key}")
+            try:
+                values[section][key] = _cast_for(defaults[key])(raw)
+            except (TypeError, ValueError):
+                raise ScenarioError(f"{section}.{key}: cannot parse {raw!r}") from None
+
     base = ScenarioConfig()
-    config = ScenarioConfig(
-        protocol=_parse_option(parser, "scenario", "protocol", str, base.protocol),
-        duration_s=_parse_option(parser, "scenario", "duration_s", float, base.duration_s),
-        interval_s=_parse_option(parser, "scenario", "interval_s", float, base.interval_s),
-        seed=_parse_option(parser, "scenario", "seed", int, base.seed),
-        clients=_parse_option(parser, "scenario", "clients", int, base.clients),
-        payload_bytes=_parse_option(parser, "scenario", "payload_bytes", int, base.payload_bytes),
-        publish_period_s=_parse_option(parser, "scenario", "publish_period_s", float, base.publish_period_s),
-        publish_offset_s=_parse_option(parser, "scenario", "publish_offset_s", float, base.publish_offset_s),
-        qos=_parse_option(parser, "scenario", "qos", int, base.qos),
-        topic=_parse_option(parser, "scenario", "topic", str, base.topic),
-        http_path=_parse_option(parser, "scenario", "http_path", str, base.http_path),
-        host=_parse_option(parser, "scenario", "host", str, base.host),
-        client_id=_parse_option(parser, "scenario", "client_id", str, base.client_id),
-        range_m=_parse_option(parser, "radio", "range_m", float, base.range_m),
-        tx_success=_parse_option(parser, "radio", "tx_success", float, base.tx_success),
-        rx_success=_parse_option(parser, "radio", "rx_success", float, base.rx_success),
-        client_pos=_parse_option(parser, "radio", "client_pos", _cast_pos, base.client_pos),
-        server_pos=_parse_option(parser, "radio", "server_pos", _cast_pos, base.server_pos),
-        report_node=_parse_option(parser, "scenario", "report_node", str, base.report_node),
-    )
-    try:
-        config.profile = CurrentProfile(
-            cpu_active_ma=_parse_option(parser, "currents", "cpu_active_ma", float, base.profile.cpu_active_ma),
-            lpm_ma=_parse_option(parser, "currents", "lpm_ma", float, base.profile.lpm_ma),
-            tx_ma=_parse_option(parser, "currents", "tx_ma", float, base.profile.tx_ma),
-            rx_ma=_parse_option(parser, "currents", "rx_ma", float, base.profile.rx_ma),
-            voltage_v=_parse_option(parser, "currents", "voltage_v", float, base.profile.voltage_v),
-            rtimer_hz=_parse_option(parser, "currents", "rtimer_hz", int, base.profile.rtimer_hz),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"currents: {err}") from None
-    config.duty = DutyCycleConfig(
-        enabled=_parse_option(parser, "duty", "enabled", _cast_bool, base.duty.enabled),
-        check_rate_hz=_parse_option(parser, "duty", "check_rate_hz", int, base.duty.check_rate_hz),
-        check_duration_ticks=_parse_option(parser, "duty", "check_duration_ticks", int, base.duty.check_duration_ticks),
-    )
-    config.overheads = Overheads(
-        link_bytes=_parse_option(parser, "overheads", "link_bytes", int, base.overheads.link_bytes),
-        datagram_bytes=_parse_option(parser, "overheads", "datagram_bytes", int, base.overheads.datagram_bytes),
-        stream_bytes=_parse_option(parser, "overheads", "stream_bytes", int, base.overheads.stream_bytes),
-        mtu_bytes=_parse_option(parser, "overheads", "mtu_bytes", int, base.overheads.mtu_bytes),
-    )
-    config.cpu_cost = CpuCostModel(
-        ticks_per_message=_parse_option(parser, "cpu", "ticks_per_message", int, base.cpu_cost.ticks_per_message),
-        ticks_per_byte=_parse_option(parser, "cpu", "ticks_per_byte", int, base.cpu_cost.ticks_per_byte),
-    )
-    return config.validate()
+    nested = {}
+    for name, section in _NESTED_SECTIONS.items():
+        try:
+            nested[name] = replace(getattr(base, name), **values[section])
+        except ValueError as err:
+            raise ScenarioError(f"{section}: {err}") from None
+    return replace(base, **values["scenario"], **values["radio"], **nested).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ RADIO_RATE_BPS = 250_000
 
 BROADCAST = "*"
 
+# Stream transport: retransmission timeout and retries after the first send.
+STREAM_RTO_TICKS = seconds_to_ticks(0.5)
+STREAM_MAX_RETRIES = 3
+
 
 class FrameTooLarge(ValueError):
     pass
@@ -236,8 +240,6 @@ class Node:
         medium: RadioMedium,
         duty: DutyCycleConfig = DutyCycleConfig(),
         cpu_cost: CpuCostModel = CpuCostModel(),
-        stream_rto_s: float = 0.5,
-        stream_max_retries: int = 3,
     ):
         self.node_id = node_id
         self.engine = engine
@@ -247,7 +249,7 @@ class Node:
         self.ledger = EnergestLedger()
         self.ledger.transition(Domain.CPU, CpuState.LPM, engine.now)
         self.sent_frames: list[RadioFrame] = []
-        self.streams = StreamTransport(self, stream_rto_s, stream_max_retries)
+        self.streams = StreamTransport(self)
         self.datagrams = DatagramTransport(self)
         self._outbox: deque[RadioFrame] = deque()
         self._pipeline_busy = False
@@ -408,12 +410,9 @@ class StreamTransport:
     """Reliable in-order byte stream: 3-segment handshake, stop-and-wait data
     with per-segment ACKs, fixed retransmission timeout, FIN/ACK close."""
 
-    def __init__(self, node: Node, rto_s: float = 0.5, max_retries: int = 3):
+    def __init__(self, node: Node):
         self.node = node
-        self.rto_ticks = seconds_to_ticks(rto_s)
-        self.max_retries = max_retries
         self.conns: dict[int, StreamConn] = {}
-        self.accepting = True
         self.on_established: Optional[Callable[[StreamConn], None]] = None
         self.on_data: Optional[Callable[[StreamConn, bytes], None]] = None
         self.on_closed: Optional[Callable[[StreamConn], None]] = None
@@ -464,12 +463,12 @@ class StreamTransport:
             return
         seg = conn.sendq.popleft()
         conn.inflight = seg
-        conn.retries_left = self.max_retries
+        conn.retries_left = STREAM_MAX_RETRIES
         self._transmit(conn, seg)
 
     def _transmit(self, conn: StreamConn, seg: StreamSegment) -> None:
         self._put_on_air(conn, seg)
-        conn.rto_event = self.node.engine.call_in(self.rto_ticks, self._on_rto, conn, seg)
+        conn.rto_event = self.node.engine.call_in(STREAM_RTO_TICKS, self._on_rto, conn, seg)
 
     def _put_on_air(self, conn: StreamConn, seg: StreamSegment) -> None:
         over = self.node.medium.overheads
@@ -505,8 +504,6 @@ class StreamTransport:
         conn = self.conns.get(seg.conn_id)
         if seg.kind == "syn":
             if conn is None:
-                if not self.accepting:
-                    return
                 conn = StreamConn(
                     conn_id=seg.conn_id,
                     local=self.node.node_id,

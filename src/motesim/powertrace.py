@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .energy import CurrentProfile, EnergestLedger, PowerSample, component_power, total_power
+from .engine import RTIMER_HZ
 
 
 class LedgerRegression(RuntimeError):
@@ -45,14 +46,14 @@ def take_sample(
         if delta < 0:
             raise LedgerRegression(f"{name} counter decreased by {-delta} ticks")
     cpu_mw = component_power(deltas["cpu"], profile.cpu_active_ma, profile.voltage_v,
-                             profile.rtimer_hz, interval_s)
+                             RTIMER_HZ, interval_s)
     lpm_mw = component_power(deltas["lpm"], profile.lpm_ma, profile.voltage_v,
-                             profile.rtimer_hz, interval_s)
+                             RTIMER_HZ, interval_s)
     tx_mw = component_power(deltas["tx"], profile.tx_ma, profile.voltage_v,
-                            profile.rtimer_hz, interval_s)
+                            RTIMER_HZ, interval_s)
     rx_mw = component_power(deltas["rx"], profile.rx_ma, profile.voltage_v,
-                            profile.rtimer_hz, interval_s)
-    interval_end_s = now.last_cpu_change / profile.rtimer_hz
+                            RTIMER_HZ, interval_s)
+    interval_end_s = now.last_cpu_change / RTIMER_HZ
     sample = PowerSample(interval_end_s, cpu_mw, lpm_mw, tx_mw, rx_mw,
                          total_power(cpu_mw, lpm_mw, tx_mw, rx_mw))
     return TraceRow(interval_end_s, deltas["cpu"], deltas["lpm"], deltas["tx"],

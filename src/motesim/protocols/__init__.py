@@ -2,7 +2,6 @@
 
 from .actions import (
     AppPublish,
-    AppSubscribe,
     CloseStream,
     MsgIn,
     Notify,
@@ -59,7 +58,7 @@ from .mqttsn import (
 )
 
 __all__ = [
-    "AppPublish", "AppSubscribe", "CloseStream", "MsgIn", "Notify", "OpenStream",
+    "AppPublish", "CloseStream", "MsgIn", "Notify", "OpenStream",
     "SendMsg", "Started", "StartTimer", "StopTimer", "StreamDown", "StreamUp",
     "TimerFired",
     "CoapClientConfig", "CoapClientState", "CoapServerState", "coap_exchange",

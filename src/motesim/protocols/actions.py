@@ -88,12 +88,6 @@ class AppPublish:
     now_s: float
 
 
-@dataclass(frozen=True)
-class AppSubscribe:
-    topic: str
-    now_s: float
-
-
 def next_grid_time(now_s: float, offset_s: float, period_s: float) -> float:
     """First time strictly after now_s on the grid offset + k * period."""
     if now_s < offset_s:
@@ -103,3 +97,10 @@ def next_grid_time(now_s: float, offset_s: float, period_s: float) -> float:
     while t <= now_s:
         t += period_s
     return t
+
+
+def start_grid_timer(key: str, now_s: float, offset_s: float, period_s: float) -> list:
+    """Arm timer `key` for the next grid slot after now_s; no timer if period_s <= 0."""
+    if period_s <= 0:
+        return []
+    return [StartTimer(key, at_s=next_grid_time(now_s, offset_s, period_s))]

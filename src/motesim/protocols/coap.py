@@ -16,7 +16,7 @@ from .actions import (
     StartTimer,
     StopTimer,
     TimerFired,
-    next_grid_time,
+    start_grid_timer,
 )
 from .messages import COAP_ACK, COAP_CON, COAP_NON, COAP_RST, CoapMsg
 
@@ -64,22 +64,16 @@ def _emit_request(state: CoapClientState) -> list:
     return actions
 
 
-def _schedule_request(state: CoapClientState, now_s: float) -> list:
-    cfg = state.config
-    if cfg.request_period_s <= 0:
-        return []
-    at = next_grid_time(now_s, cfg.request_offset_s, cfg.request_period_s)
-    return [StartTimer("request", at_s=at)]
-
-
 def coap_exchange(state: CoapClientState, event) -> tuple[CoapClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
-        return state, _schedule_request(state, event.now_s)
+        return state, start_grid_timer("request", event.now_s, cfg.request_offset_s,
+                                       cfg.request_period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
-            return state, _emit_request(state) + _schedule_request(state, event.now_s)
+            return state, _emit_request(state) + start_grid_timer(
+                "request", event.now_s, cfg.request_offset_s, cfg.request_period_s)
         if event.key.startswith("retx:"):
             msg_id = int(event.key.split(":", 1)[1])
             entry = state.exchanges.get(msg_id)

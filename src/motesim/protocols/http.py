@@ -20,7 +20,7 @@ from .actions import (
     StreamDown,
     StreamUp,
     TimerFired,
-    next_grid_time,
+    start_grid_timer,
 )
 from .messages import HttpRequest, HttpResponse
 
@@ -43,22 +43,16 @@ class HttpClientState:
     requests_sent: int = 0
 
 
-def _schedule_request(state: HttpClientState, now_s: float) -> list:
-    cfg = state.config
-    if cfg.request_period_s <= 0:
-        return []
-    at = next_grid_time(now_s, cfg.request_offset_s, cfg.request_period_s)
-    return [StartTimer("request", at_s=at)]
-
-
 def http_step(state: HttpClientState, event) -> tuple[HttpClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
-        return state, _schedule_request(state, event.now_s)
+        return state, start_grid_timer("request", event.now_s, cfg.request_offset_s,
+                                       cfg.request_period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
-            actions = _schedule_request(state, event.now_s)
+            actions = start_grid_timer("request", event.now_s, cfg.request_offset_s,
+                                       cfg.request_period_s)
             if state.phase == "idle":
                 state.phase = "connecting"
                 actions.append(OpenStream(cfg.server))

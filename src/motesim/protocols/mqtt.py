@@ -8,7 +8,6 @@ from typing import Optional
 
 from .actions import (
     AppPublish,
-    AppSubscribe,
     CloseStream,
     MsgIn,
     Notify,
@@ -20,7 +19,7 @@ from .actions import (
     StreamDown,
     StreamUp,
     TimerFired,
-    next_grid_time,
+    start_grid_timer,
 )
 from .messages import (
     MQTT_CONNACK,
@@ -84,14 +83,6 @@ def _rearm_ping(state: MqttClientState) -> list:
     return [StartTimer("ping", delay_s=state.config.keepalive_s)]
 
 
-def _schedule_publish(state: MqttClientState, now_s: float) -> list:
-    cfg = state.config
-    if cfg.publish_period_s <= 0:
-        return []
-    at = next_grid_time(now_s, cfg.publish_offset_s, cfg.publish_period_s)
-    return [StartTimer("publish", at_s=at)]
-
-
 def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
@@ -124,11 +115,6 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             return state, []
         return state, _emit_publish(state, event.payload) + _rearm_ping(state)
 
-    if isinstance(event, AppSubscribe):
-        msg_id = _next_id(state)
-        msg = MqttMsg(MQTT_SUBSCRIBE, topic=event.topic, qos=cfg.qos, msg_id=msg_id)
-        return state, [SendMsg(msg, cfg.broker)] + _rearm_ping(state)
-
     if isinstance(event, MsgIn):
         msg = event.msg
         if msg.type == MQTT_CONNACK and state.phase == "handshaking":
@@ -136,7 +122,8 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             actions = [StopTimer("connack")]
             while state.pending:
                 actions += _emit_publish(state, state.pending.popleft())
-            actions += _schedule_publish(state, event.now_s)
+            actions += start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
+                                        cfg.publish_period_s)
             if actions[1:]:
                 actions += _rearm_ping(state)
             return state, actions
@@ -151,14 +138,13 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
                 puback = MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id)
                 return state, [SendMsg(puback, cfg.broker)] + _rearm_ping(state)
             return state, []
-        if msg.type in (MQTT_SUBACK, MQTT_PINGRESP):
-            return state, []
         return state, []
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
             payload = bytes(cfg.payload_bytes)
-            actions = _schedule_publish(state, event.now_s)
+            actions = start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
+                                       cfg.publish_period_s)
             if state.phase != "up":
                 # link is down; queue and let the reconnect flush the backlog
                 state.pending.append(payload)

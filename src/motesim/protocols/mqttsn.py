@@ -19,7 +19,7 @@ from .actions import (
     StartTimer,
     StopTimer,
     TimerFired,
-    next_grid_time,
+    start_grid_timer,
 )
 from .messages import (
     MQTT_PUBACK,
@@ -141,14 +141,6 @@ def _emit_publish(state: SnClientState, payload: bytes) -> list:
     return actions
 
 
-def _schedule_publish(state: SnClientState, now_s: float) -> list:
-    cfg = state.config
-    if cfg.publish_period_s <= 0:
-        return []
-    at = next_grid_time(now_s, cfg.publish_offset_s, cfg.publish_period_s)
-    return [StartTimer("publish", at_s=at)]
-
-
 def _send_register(state: SnClientState) -> list:
     cfg = state.config
     state.register_msg_id = _next_id(state)
@@ -186,7 +178,8 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
             actions = [StopTimer("regack")]
             while state.pending:
                 actions += _emit_publish(state, state.pending.popleft())
-            actions += _schedule_publish(state, event.now_s)
+            actions += start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
+                                        cfg.publish_period_s)
             return state, actions
         if msg.type == SN_PUBACK:
             if msg.msg_id in state.inflight:
@@ -198,8 +191,8 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
     if isinstance(event, TimerFired):
         if event.key == "publish":
             payload = bytes(cfg.payload_bytes)
-            return state, _emit_publish(state, payload) + _schedule_publish(
-                state, event.now_s)
+            return state, _emit_publish(state, payload) + start_grid_timer(
+                "publish", event.now_s, cfg.publish_offset_s, cfg.publish_period_s)
         if event.key == "connack":
             state.phase = "idle"
             return state, [Notify("connection-failed", "no CONNACK")]

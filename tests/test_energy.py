@@ -127,7 +127,6 @@ def test_default_profile_matches_platform_datasheet():
     assert profile.tx_ma == 17.4
     assert profile.rx_ma == 18.8
     assert profile.voltage_v == 3.0
-    assert profile.rtimer_hz == 32768
     assert 0 < profile.lpm_ma < profile.cpu_active_ma
 
 
@@ -138,8 +137,6 @@ def test_profile_validation():
         CurrentProfile(voltage_v=0.0)
     with pytest.raises(ValueError):
         CurrentProfile(lpm_ma=5.0)  # LPM draw must undercut the active draw
-    with pytest.raises(ValueError):
-        CurrentProfile(rtimer_hz=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Scenario configuration, end-to-end runs, CSV I/O, comparison, and the CLI."""
 
+import configparser
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from motesim.harness import (
     load_scenario,
     parse_trace_csv,
     run_scenario,
+    scenario_schema,
     simulate,
     write_csv,
     write_report_csv,
@@ -23,6 +27,8 @@ from motesim.harness import (
 from motesim.medium import DutyCycleConfig
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _error_kinds(sim):
@@ -53,6 +59,8 @@ def test_multi_client_ids_are_numbered():
     dict(qos=2),
     dict(tx_success=1.5),
     dict(rx_success=-0.1),
+    dict(range_m=math.nan),
+    dict(client_pos=(0.0, math.inf)),
 ])
 def test_validate_rejects_bad_values(overrides):
     with pytest.raises(ScenarioError):
@@ -64,14 +72,20 @@ def test_validate_rejects_bad_values(overrides):
     dict(duty=DutyCycleConfig(True, 0, 32)),
     dict(duty=DutyCycleConfig(True, 7, 32)),
     dict(duty=DutyCycleConfig(True, 8, -5)),
+    dict(duration_s=math.inf),
+    dict(duration_s=math.nan),
+    dict(publish_period_s=math.nan),
+    dict(publish_offset_s=math.inf),
+    dict(interval_s=0.1, duration_s=1.0),  # 3276.8 ticks per interval
 ])
 def test_configs_that_would_fail_mid_run_fail_validation(overrides):
-    # each of these once passed validate() and raised a bare ValueError inside
-    # the run; simulate() must now stop at validation with a ScenarioError
+    # each of these once passed validate() (or raised something other than a
+    # ScenarioError) and failed inside the run; simulate() must now stop at
+    # validation with a ScenarioError
     with pytest.raises(ScenarioError):
         ScenarioConfig(**overrides).validate()
     with pytest.raises(ScenarioError):
-        simulate(ScenarioConfig(duration_s=10.0, **overrides))
+        simulate(ScenarioConfig(**{"duration_s": 10.0, **overrides}))
 
 
 def test_load_scenario_full_file(tmp_path):
@@ -116,6 +130,57 @@ def test_load_scenario_full_file(tmp_path):
     assert config.duty.check_duration_ticks == 8 and config.duty.enabled
     assert config.overheads.stream_bytes == 40
     assert config.cpu_cost.ticks_per_byte == 3
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[radoi]\nrange_m = 30\n", "[radoi]"),
+    ("[scenario]\nduraton_s = 20\n", "scenario.duraton_s"),
+    ("[DEFAULT]\nseed = 7\n[scenario]\n", "[DEFAULT]"),
+    ("[scenario]\nduration_s = inf\n", "scenario.duration_s"),
+])
+def test_scenario_file_errors_name_the_section_and_key(tmp_path, capsys, text, named):
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        load_scenario(path)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_readme_lists_exactly_the_scenario_keys_and_defaults(tmp_path):
+    text = (REPO_ROOT / "README.md").read_text()
+    readme = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    readme.read_string(re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1))
+    listed = {section: list(readme[section]) for section in readme.sections()}
+    assert listed == {section: list(keys) for section, keys in scenario_schema().items()}
+    # the values shown are the defaults
+    path = tmp_path / "readme.ini"
+    with open(path, "w") as handle:
+        readme.write(handle)
+    assert load_scenario(path) == ScenarioConfig()
+
+
+# What each benchmark scenario file loads to; the benchmark's recorded
+# fingerprints were taken with exactly these configs.
+PERFBENCH_SCENARIOS = {
+    "crowd50": ScenarioConfig(protocol="mqtt-sn", clients=50),
+    "default-coap": ScenarioConfig(protocol="coap"),
+    "default-http": ScenarioConfig(protocol="http"),
+    "default-mqtt-sn": ScenarioConfig(protocol="mqtt-sn"),
+    "default-mqtt": ScenarioConfig(protocol="mqtt"),
+    "lossy-http": ScenarioConfig(protocol="http", clients=5, duration_s=1000.0,
+                                 tx_success=0.7, duty=DutyCycleConfig(enabled=False)),
+    "lossy-mqtt": ScenarioConfig(protocol="mqtt", clients=5, duration_s=1000.0,
+                                 tx_success=0.7, duty=DutyCycleConfig(enabled=False)),
+}
+
+
+def test_benchmark_scenario_files_load_unchanged():
+    directory = REPO_ROOT / "perfbench" / "scenarios"
+    loaded = {path.stem: load_scenario(path) for path in directory.glob("*.ini")}
+    assert loaded == PERFBENCH_SCENARIOS
 
 
 def test_load_scenario_missing_file(tmp_path):
