@@ -8,7 +8,6 @@ converts the ledgers into per-state power draw for side-by-side comparison.
 from .energy import (
     CpuState,
     CurrentProfile,
-    Domain,
     EnergestLedger,
     PowerSample,
     RadioState,
@@ -60,7 +59,6 @@ __all__ = [
     "CpuCostModel",
     "CpuState",
     "CurrentProfile",
-    "Domain",
     "DutyCycleConfig",
     "EnergestLedger",
     "Engine",

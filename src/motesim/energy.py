@@ -19,11 +19,6 @@ class RadioState(Enum):
     RX = "rx"
 
 
-class Domain(Enum):
-    CPU = "cpu"
-    RADIO = "radio"
-
-
 @dataclass
 class EnergestLedger:
     """Cumulative tick counters per hardware state, accrued lazily on settle()."""
@@ -45,24 +40,21 @@ class EnergestLedger:
         self._accrue_radio(now)
         return self
 
-    def transition(self, domain: Domain, new_state, now: TickTime) -> "EnergestLedger":
-        """Accrue the changed domain up to now, then swap its state tag.
+    def transition(self, new_state, now: TickTime) -> "EnergestLedger":
+        """Accrue the domain of new_state (CPU or radio) up to now, then swap
+        its state tag.
 
         The other domain keeps accruing lazily until its own next change or
         the next settle(), so sampled totals equal settling both every time.
         """
-        if domain is Domain.CPU:
-            if not isinstance(new_state, CpuState):
-                raise ValueError(f"invalid CPU state: {new_state!r}")
+        if isinstance(new_state, CpuState):
             self._accrue_cpu(now)
             self.cpu_state = new_state
-        elif domain is Domain.RADIO:
-            if not isinstance(new_state, RadioState):
-                raise ValueError(f"invalid radio state: {new_state!r}")
+        elif isinstance(new_state, RadioState):
             self._accrue_radio(now)
             self.radio_state = new_state
         else:
-            raise ValueError(f"unknown domain: {domain!r}")
+            raise ValueError(f"not a CPU or radio state: {new_state!r}")
         return self
 
     def _accrue_cpu(self, now: TickTime) -> None:

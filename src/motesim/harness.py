@@ -22,34 +22,10 @@ from .medium import (
 from .powertrace import TraceRow, summarize, take_sample
 from .protocols import actions as act
 from .protocols import messages as wire
-from .protocols.coap import (
-    CoapClientConfig,
-    CoapClientState,
-    CoapServerState,
-    coap_exchange,
-    coap_server_handle,
-)
-from .protocols.http import (
-    HttpClientConfig,
-    HttpClientState,
-    HttpServerState,
-    http_server_handle,
-    http_step,
-)
-from .protocols.mqtt import (
-    BrokerState,
-    MqttClientConfig,
-    MqttClientState,
-    broker_handle,
-    mqtt_client_step,
-)
-from .protocols.mqttsn import (
-    GatewayState,
-    SnClientConfig,
-    SnClientState,
-    gateway_handle,
-    mqttsn_client_step,
-)
+from .protocols.coap import CoapClientState, CoapServerState, coap_exchange, coap_server_handle
+from .protocols.http import HttpClientState, HttpServerState, http_server_handle, http_step
+from .protocols.mqtt import BrokerState, MqttClientState, broker_handle, mqtt_client_step
+from .protocols.mqttsn import GatewayState, SnClientState, gateway_handle, mqttsn_client_step
 
 PROTOCOLS = ("mqtt", "mqtt-sn", "coap", "http")
 
@@ -90,6 +66,8 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         for section, key, value in _scenario_items(self):
+            if isinstance(value, str) and not value.isascii():
+                raise ScenarioError(f"{section}.{key} must be ASCII, not {value!r}")
             for number in value if isinstance(value, tuple) else (value,):
                 if isinstance(number, float) and not math.isfinite(number):
                     raise ScenarioError(f"{section}.{key} must be finite, not {value}")
@@ -197,7 +175,7 @@ def load_scenario(path) -> ScenarioConfig:
     file_path = Path(path)
     if not file_path.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # "%" is a plain character
     try:
         parser.read(file_path)
     except configparser.Error as err:
@@ -396,54 +374,25 @@ def _server_step(handler: Callable) -> Callable:
     return step
 
 
-def _client_machine(config: ScenarioConfig, node_id: str):
-    """Returns (step, state, transport, decode_kind) for the client role."""
-    if config.clients == 1:
-        wire_id = config.client_id
-    else:
-        wire_id = f"{config.client_id}-{node_id.rsplit('-', 1)[-1]}"
-    if config.protocol == "mqtt":
-        cfg = MqttClientConfig(
-            broker="server", client_id=wire_id, topic=config.topic,
-            qos=config.qos, payload_bytes=config.payload_bytes,
-            publish_offset_s=config.publish_offset_s,
-            publish_period_s=config.publish_period_s,
-        )
-        return mqtt_client_step, MqttClientState(cfg), "stream", "mqtt"
-    if config.protocol == "mqtt-sn":
-        cfg = SnClientConfig(
-            gateway="server", client_id=wire_id, topic=config.topic,
-            qos=config.qos, payload_bytes=config.payload_bytes,
-            publish_offset_s=config.publish_offset_s,
-            publish_period_s=config.publish_period_s,
-        )
-        return mqttsn_client_step, SnClientState(cfg), "datagram", "mqtt-sn"
-    if config.protocol == "coap":
-        cfg = CoapClientConfig(
-            server="server", uri_path=config.topic, confirmable=config.qos > 0,
-            request_offset_s=config.publish_offset_s,
-            request_period_s=config.publish_period_s,
-        )
-        return coap_exchange, CoapClientState(cfg), "datagram", "coap"
-    cfg = HttpClientConfig(
-        server="server", host=config.host, path=config.http_path,
-        request_offset_s=config.publish_offset_s,
-        request_period_s=config.publish_period_s,
-    )
-    return http_step, HttpClientState(cfg), "stream", "http-response"
+def _protocol_table(config: ScenarioConfig) -> dict[str, tuple]:
+    """protocol -> (transport, client step, client state type, client decode kind,
+    server handler, server state, server decode kind).
 
-
-def _server_machine(config: ScenarioConfig):
+    Built per run, so that the step names are looked up when a run starts.
+    """
     resource = bytes(config.payload_bytes)
-    if config.protocol == "mqtt":
-        return _server_step(broker_handle), BrokerState(), "stream", "mqtt"
-    if config.protocol == "mqtt-sn":
-        return _server_step(gateway_handle), GatewayState(), "datagram", "mqtt-sn"
-    if config.protocol == "coap":
-        state = CoapServerState(resources={config.topic: resource})
-        return _server_step(coap_server_handle), state, "datagram", "coap"
-    state = HttpServerState(resources={config.http_path: resource})
-    return _server_step(http_server_handle), state, "stream", "http-request"
+    return {
+        "mqtt": ("stream", mqtt_client_step, MqttClientState, "mqtt",
+                 broker_handle, BrokerState(), "mqtt"),
+        "mqtt-sn": ("datagram", mqttsn_client_step, SnClientState, "mqtt-sn",
+                    gateway_handle, GatewayState(), "mqtt-sn"),
+        "coap": ("datagram", coap_exchange, CoapClientState, "coap",
+                 coap_server_handle, CoapServerState(resources={config.topic: resource}),
+                 "coap"),
+        "http": ("stream", http_step, HttpClientState, "http-response",
+                 http_server_handle, HttpServerState(resources={config.http_path: resource}),
+                 "http-request"),
+    }
 
 
 def simulate(config: ScenarioConfig) -> SimRun:
@@ -460,19 +409,24 @@ def simulate(config: ScenarioConfig) -> SimRun:
     sim = SimRun(config=config, engine=engine, medium=medium, nodes={},
                  runtimes={}, traces={}, events=[])
 
-    for client_id in client_ids:
-        sim.nodes[client_id] = Node(client_id, engine, medium, config.duty,
-                                    config.cpu_cost)
-    sim.nodes["server"] = Node("server", engine, medium, config.duty,
-                               config.cpu_cost)
-
-    step, state, transport, kind = _server_machine(config)
-    sim.runtimes["server"] = ProtocolRuntime(sim.nodes["server"], step, state,
-                                             transport, kind, sim)
-    for client_id in client_ids:
-        step, state, transport, kind = _client_machine(config, client_id)
-        sim.runtimes[client_id] = ProtocolRuntime(sim.nodes[client_id], step,
-                                                  state, transport, kind, sim)
+    (transport, client_step, client_state, client_kind,
+     handler, server_state, server_kind) = _protocol_table(config)[config.protocol]
+    for index, node_id in enumerate(client_ids):
+        node = sim.nodes[node_id] = Node(node_id, engine, medium, config.duty,
+                                         config.cpu_cost)
+        client = act.ClientConfig(
+            client_id=(config.client_id if config.clients == 1
+                       else f"{config.client_id}-{index + 1}"),
+            topic=config.topic, qos=config.qos, payload_bytes=config.payload_bytes,
+            offset_s=config.publish_offset_s, period_s=config.publish_period_s,
+            host=config.host, path=config.http_path,
+        )
+        sim.runtimes[node_id] = ProtocolRuntime(node, client_step, client_state(client),
+                                                transport, client_kind, sim)
+    server = sim.nodes["server"] = Node("server", engine, medium, config.duty,
+                                        config.cpu_cost)
+    sim.runtimes["server"] = ProtocolRuntime(server, _server_step(handler), server_state,
+                                             transport, server_kind, sim)
 
     interval_ticks = seconds_to_ticks(config.interval_s)
     intervals = round(config.duration_s / config.interval_s)

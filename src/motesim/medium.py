@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .energy import CpuState, Domain, EnergestLedger, RadioState
+from .energy import CpuState, EnergestLedger, RadioState
 from .engine import RTIMER_HZ, Engine, TickTime, seconds_to_ticks
 
 # CC2420-class radio bit rate.
@@ -247,7 +247,7 @@ class Node:
         self.duty = duty
         self.cpu_cost = cpu_cost
         self.ledger = EnergestLedger()
-        self.ledger.transition(Domain.CPU, CpuState.LPM, engine.now)
+        self.ledger.transition(CpuState.LPM, engine.now)
         self.sent_frames: list[RadioFrame] = []
         self.streams = StreamTransport(self)
         self.datagrams = DatagramTransport(self)
@@ -264,7 +264,7 @@ class Node:
             self._check_period = RTIMER_HZ // duty.check_rate_hz
             engine.call_at(engine.now, self._run_check)
         else:
-            self.ledger.transition(Domain.RADIO, RadioState.RX, engine.now)
+            self.ledger.transition(RadioState.RX, engine.now)
 
     # -- outbound pipeline ------------------------------------------------
 
@@ -294,7 +294,7 @@ class Node:
             return
         air = airtime_ticks(frame.length_bytes)
         self._check_until = min(self._check_until, now)  # abort any idle check
-        self.ledger.transition(Domain.RADIO, RadioState.TX, now)
+        self.ledger.transition(RadioState.TX, now)
         self._tx_until = now + air
         self.sent_frames.append(frame)
         self.medium.broadcast(frame, now)
@@ -302,13 +302,7 @@ class Node:
 
     def _end_tx(self) -> None:
         now = self.engine.now
-        if not self.duty.enabled:
-            next_state = RadioState.RX
-        elif self._rx_hold_until > now or self._check_until > now:
-            next_state = RadioState.RX
-        else:
-            next_state = RadioState.OFF
-        self.ledger.transition(Domain.RADIO, next_state, now)
+        self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
         self._pipeline_busy = False
         self._pump()
 
@@ -323,7 +317,7 @@ class Node:
         if self._tx_until > now:
             return False
         if self.ledger.radio_state is not RadioState.RX:
-            self.ledger.transition(Domain.RADIO, RadioState.RX, now)
+            self.ledger.transition(RadioState.RX, now)
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
@@ -347,23 +341,23 @@ class Node:
     def _run_check(self) -> None:
         now = self.engine.now
         self.engine.call_at(now + self._check_period, self._run_check)
-        if self._outbox or self._pipeline_busy or self._tx_until > now:
+        if self._pipeline_busy:
             return  # pending outbound traffic preempts the check
         if self.ledger.radio_state is not RadioState.OFF:
             return  # already listening
-        self.ledger.transition(Domain.RADIO, RadioState.RX, now)
+        self.ledger.transition(RadioState.RX, now)
         self._check_until = now + self.duty.check_duration_ticks
         self.engine.call_at(self._check_until, self._maybe_radio_off)
 
     def _maybe_radio_off(self) -> None:
         now = self.engine.now
-        if not self.duty.enabled:
-            return
-        if self.ledger.radio_state is not RadioState.RX:
-            return
-        if self._check_until > now or self._rx_hold_until > now:
-            return
-        self.ledger.transition(Domain.RADIO, RadioState.OFF, now)
+        if self.ledger.radio_state is RadioState.RX and not self._listening(now):
+            self.ledger.transition(RadioState.OFF, now)
+
+    def _listening(self, now: TickTime) -> bool:
+        """Whether the radio stays in RX when it is not sending: no duty
+        cycling, or a check or an inbound frame in progress."""
+        return not self.duty.enabled or self._check_until > now or self._rx_hold_until > now
 
     # -- CPU accounting ----------------------------------------------------
 
@@ -376,7 +370,7 @@ class Node:
         now = self.engine.now
         start = max(now, self._cpu_busy_until)
         if start == now and self.ledger.cpu_state is CpuState.LPM:
-            self.ledger.transition(Domain.CPU, CpuState.ACTIVE, now)
+            self.ledger.transition(CpuState.ACTIVE, now)
         end = start + ticks
         self._cpu_busy_until = end
         self.engine.call_at(end, self._cpu_window_end)
@@ -385,7 +379,7 @@ class Node:
     def _cpu_window_end(self) -> None:
         now = self.engine.now
         if now >= self._cpu_busy_until and self.ledger.cpu_state is CpuState.ACTIVE:
-            self.ledger.transition(Domain.CPU, CpuState.LPM, now)
+            self.ledger.transition(CpuState.LPM, now)
 
 
 class DatagramTransport:

@@ -1,7 +1,8 @@
 """Application-layer protocol state machines and wire codecs."""
 
 from .actions import (
-    AppPublish,
+    SERVER,
+    ClientConfig,
     CloseStream,
     MsgIn,
     Notify,
@@ -15,14 +16,12 @@ from .actions import (
     TimerFired,
 )
 from .coap import (
-    CoapClientConfig,
     CoapClientState,
     CoapServerState,
     coap_exchange,
     coap_server_handle,
 )
 from .http import (
-    HttpClientConfig,
     HttpClientState,
     HttpServerState,
     http_server_handle,
@@ -41,14 +40,12 @@ from .messages import (
 )
 from .mqtt import (
     BrokerState,
-    MqttClientConfig,
     MqttClientState,
     broker_handle,
     mqtt_client_step,
 )
 from .mqttsn import (
     GatewayState,
-    SnClientConfig,
     SnClientState,
     TopicRegistry,
     TranslationError,
@@ -58,17 +55,17 @@ from .mqttsn import (
 )
 
 __all__ = [
-    "AppPublish", "CloseStream", "MsgIn", "Notify", "OpenStream",
+    "SERVER", "ClientConfig", "CloseStream", "MsgIn", "Notify", "OpenStream",
     "SendMsg", "Started", "StartTimer", "StopTimer", "StreamDown", "StreamUp",
     "TimerFired",
-    "CoapClientConfig", "CoapClientState", "CoapServerState", "coap_exchange",
+    "CoapClientState", "CoapServerState", "coap_exchange",
     "coap_server_handle",
-    "HttpClientConfig", "HttpClientState", "HttpServerState", "http_server_handle",
+    "HttpClientState", "HttpServerState", "http_server_handle",
     "http_step",
     "CoapMsg", "HttpRequest", "HttpResponse", "MqttMsg", "MqttSnMsg", "ParseError",
     "ProtocolMessage", "decode", "encode",
-    "BrokerState", "MqttClientConfig", "MqttClientState", "broker_handle",
+    "BrokerState", "MqttClientState", "broker_handle",
     "mqtt_client_step",
-    "GatewayState", "SnClientConfig", "SnClientState", "TopicRegistry",
+    "GatewayState", "SnClientState", "TopicRegistry",
     "TranslationError", "gateway_handle", "gateway_translate", "mqttsn_client_step",
 ]

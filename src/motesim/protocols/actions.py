@@ -6,8 +6,27 @@ happens in the runtime that executes the returned actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
+
+# The one server node every client talks to: MQTT broker, MQTT-SN gateway,
+# CoAP or HTTP origin server.
+SERVER = "server"
+
+
+@dataclass(frozen=True)
+class ClientConfig:
+    """What a scenario sets for one client; timing and retry values are
+    per-protocol module constants."""
+
+    client_id: str = "z1-client"
+    topic: str = "temperature"  # also the CoAP Uri-Path
+    qos: int = 1  # CoAP requests are confirmable when qos > 0
+    payload_bytes: int = 30
+    offset_s: float = 1.0
+    period_s: float = 5.0
+    host: str = "server"  # HTTP Host header
+    path: str = "/temperature"  # HTTP request path
 
 
 # -- actions ----------------------------------------------------------------
@@ -82,12 +101,6 @@ class StreamDown:
     now_s: float
 
 
-@dataclass(frozen=True)
-class AppPublish:
-    payload: bytes
-    now_s: float
-
-
 def next_grid_time(now_s: float, offset_s: float, period_s: float) -> float:
     """First time strictly after now_s on the grid offset + k * period."""
     if now_s < offset_s:
@@ -104,3 +117,25 @@ def start_grid_timer(key: str, now_s: float, offset_s: float, period_s: float) -
     if period_s <= 0:
         return []
     return [StartTimer(key, at_s=next_grid_time(now_s, offset_s, period_s))]
+
+
+def next_msg_id(state) -> int:
+    """Take state.next_msg_id and advance the 16-bit counter, which wraps to 1."""
+    msg_id = state.next_msg_id
+    state.next_msg_id = msg_id % 0xFFFF + 1
+    return msg_id
+
+
+def retry_publish(state, key: str, timeout_s: float, max_retries: int) -> list:
+    """PUBACK timer `key` ("puback:<msg_id>") fired: resend the publish still in
+    state.inflight with DUP set and rearm, or give up after max_retries resends."""
+    msg_id = int(key.split(":", 1)[1])
+    entry = state.inflight.get(msg_id)
+    if entry is None:
+        return []
+    msg, tries = entry
+    if tries >= max_retries:
+        del state.inflight[msg_id]
+        return [Notify("publish-failed", f"msg_id {msg_id}")]
+    state.inflight[msg_id] = (msg, tries + 1)
+    return [SendMsg(replace(msg, dup=True), SERVER), StartTimer(key, delay_s=timeout_s)]

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import (
+    SERVER,
+    ClientConfig,
     MsgIn,
     Notify,
     SendMsg,
@@ -16,76 +18,66 @@ from .actions import (
     StartTimer,
     StopTimer,
     TimerFired,
+    next_msg_id,
     start_grid_timer,
 )
 from .messages import COAP_ACK, COAP_CON, COAP_NON, COAP_RST, CoapMsg
 
 
-@dataclass(frozen=True)
-class CoapClientConfig:
-    server: str = "server"
-    uri_path: str = "temperature"
-    confirmable: bool = True
-    token_bytes: int = 8
-    request_offset_s: float = 1.0
-    request_period_s: float = 5.0
-    base_timeout_s: float = 2.0
-    backoff_factor: float = 2.0
-    max_retransmits: int = 4
+# RFC 7252 section 4.8 transmission parameters, without ACK_RANDOM_FACTOR
+# jitter: the first timeout is exactly ACK_TIMEOUT_S, and each retransmission
+# doubles it.
+ACK_TIMEOUT_S = 2.0
+BACKOFF_FACTOR = 2.0
+MAX_RETRANSMIT = 4
+
+TOKEN_BYTES = 8  # the longest token; it carries the message id, zero-padded
 
 
 @dataclass
 class CoapClientState:
-    config: CoapClientConfig = field(default_factory=CoapClientConfig)
+    config: ClientConfig = field(default_factory=ClientConfig)
     next_msg_id: int = 1
     exchanges: dict[int, tuple[CoapMsg, int, float]] = field(default_factory=dict)
     responses: list[CoapMsg] = field(default_factory=list)
     requests_sent: int = 0
 
 
-def _token_for(msg_id: int, token_bytes: int) -> bytes:
-    if token_bytes == 0:
-        return b""
-    return msg_id.to_bytes(2, "big").rjust(token_bytes, b"\x00")[-token_bytes:]
-
-
 def _emit_request(state: CoapClientState) -> list:
     cfg = state.config
-    msg_id = state.next_msg_id
-    state.next_msg_id = msg_id % 0xFFFF + 1
-    mtype = COAP_CON if cfg.confirmable else COAP_NON
-    request = CoapMsg(mtype, "GET", msg_id, _token_for(msg_id, cfg.token_bytes),
-                      cfg.uri_path)
+    msg_id = next_msg_id(state)
+    confirmable = cfg.qos > 0
+    request = CoapMsg(COAP_CON if confirmable else COAP_NON, "GET", msg_id,
+                      msg_id.to_bytes(TOKEN_BYTES, "big"), cfg.topic)
     state.requests_sent += 1
-    actions = [SendMsg(request, cfg.server)]
-    if cfg.confirmable:
-        state.exchanges[msg_id] = (request, 0, cfg.base_timeout_s)
-        actions.append(StartTimer(f"retx:{msg_id}", delay_s=cfg.base_timeout_s))
+    actions = [SendMsg(request, SERVER)]
+    if confirmable:
+        state.exchanges[msg_id] = (request, 0, ACK_TIMEOUT_S)
+        actions.append(StartTimer(f"retx:{msg_id}", delay_s=ACK_TIMEOUT_S))
     return actions
 
 
 def coap_exchange(state: CoapClientState, event) -> tuple[CoapClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
-        return state, start_grid_timer("request", event.now_s, cfg.request_offset_s,
-                                       cfg.request_period_s)
+        return state, start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
             return state, _emit_request(state) + start_grid_timer(
-                "request", event.now_s, cfg.request_offset_s, cfg.request_period_s)
+                "request", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key.startswith("retx:"):
             msg_id = int(event.key.split(":", 1)[1])
             entry = state.exchanges.get(msg_id)
             if entry is None:
                 return state, []
             request, count, timeout = entry
-            if count >= cfg.max_retransmits:
+            if count >= MAX_RETRANSMIT:
                 del state.exchanges[msg_id]
                 return state, [Notify("exchange-failed", f"msg_id {msg_id}")]
-            timeout *= cfg.backoff_factor
+            timeout *= BACKOFF_FACTOR
             state.exchanges[msg_id] = (request, count + 1, timeout)
-            return state, [SendMsg(request, cfg.server),
+            return state, [SendMsg(request, SERVER),
                            StartTimer(event.key, delay_s=timeout)]
         return state, []
 

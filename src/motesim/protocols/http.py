@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import (
+    SERVER,
+    ClientConfig,
     CloseStream,
     MsgIn,
     Notify,
@@ -25,19 +27,12 @@ from .actions import (
 from .messages import HttpRequest, HttpResponse
 
 
-@dataclass(frozen=True)
-class HttpClientConfig:
-    server: str = "server"
-    host: str = "server"
-    path: str = "/temperature"
-    request_offset_s: float = 1.0
-    request_period_s: float = 5.0
-    response_timeout_s: float = 5.0
+RESPONSE_TIMEOUT_S = 5.0
 
 
 @dataclass
 class HttpClientState:
-    config: HttpClientConfig = field(default_factory=HttpClientConfig)
+    config: ClientConfig = field(default_factory=ClientConfig)
     phase: str = "idle"  # idle, connecting, awaiting, closing
     responses: list[HttpResponse] = field(default_factory=list)
     requests_sent: int = 0
@@ -46,35 +41,33 @@ class HttpClientState:
 def http_step(state: HttpClientState, event) -> tuple[HttpClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
-        return state, start_grid_timer("request", event.now_s, cfg.request_offset_s,
-                                       cfg.request_period_s)
+        return state, start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
-            actions = start_grid_timer("request", event.now_s, cfg.request_offset_s,
-                                       cfg.request_period_s)
+            actions = start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
             if state.phase == "idle":
                 state.phase = "connecting"
-                actions.append(OpenStream(cfg.server))
+                actions.append(OpenStream(SERVER))
             return state, actions
         if event.key == "response":
             state.phase = "closing"
             return state, [Notify("request-failed", "response timeout"),
-                           CloseStream(cfg.server)]
+                           CloseStream(SERVER)]
         return state, []
 
     if isinstance(event, StreamUp):
         state.phase = "awaiting"
         state.requests_sent += 1
         request = HttpRequest("GET", cfg.path, cfg.host)
-        return state, [SendMsg(request, cfg.server),
-                       StartTimer("response", delay_s=cfg.response_timeout_s)]
+        return state, [SendMsg(request, SERVER),
+                       StartTimer("response", delay_s=RESPONSE_TIMEOUT_S)]
 
     if isinstance(event, MsgIn):
         if isinstance(event.msg, HttpResponse) and state.phase == "awaiting":
             state.responses.append(event.msg)
             state.phase = "closing"
-            return state, [StopTimer("response"), CloseStream(cfg.server)]
+            return state, [StopTimer("response"), CloseStream(SERVER)]
         return state, []
 
     if isinstance(event, StreamDown):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .actions import (
-    AppPublish,
+    SERVER,
+    ClientConfig,
     CloseStream,
     MsgIn,
     Notify,
@@ -19,6 +19,8 @@ from .actions import (
     StreamDown,
     StreamUp,
     TimerFired,
+    next_msg_id,
+    retry_publish,
     start_grid_timer,
 )
 from .messages import (
@@ -33,25 +35,15 @@ from .messages import (
     MqttMsg,
 )
 
-
-@dataclass(frozen=True)
-class MqttClientConfig:
-    broker: str = "server"
-    client_id: str = "z1-client"
-    topic: str = "temperature"
-    qos: int = 1
-    payload_bytes: int = 30
-    publish_offset_s: float = 1.0
-    publish_period_s: float = 5.0
-    keepalive_s: float = 30.0
-    connack_timeout_s: float = 5.0
-    puback_timeout_s: float = 1.0
-    max_retries: int = 3
+KEEPALIVE_S = 30.0
+CONNACK_TIMEOUT_S = 5.0
+PUBACK_TIMEOUT_S = 1.0
+MAX_RETRIES = 3  # PUBLISH resends before the client gives up
 
 
 @dataclass
 class MqttClientState:
-    config: MqttClientConfig = field(default_factory=MqttClientConfig)
+    config: ClientConfig = field(default_factory=ClientConfig)
     phase: str = "idle"  # idle, connecting, handshaking, up
     next_msg_id: int = 1
     inflight: dict[int, tuple[MqttMsg, int]] = field(default_factory=dict)
@@ -60,42 +52,36 @@ class MqttClientState:
     publishes_sent: int = 0
 
 
-def _next_id(state: MqttClientState) -> int:
-    msg_id = state.next_msg_id
-    state.next_msg_id = msg_id % 0xFFFF + 1  # 16-bit counter, wraps to 1
-    return msg_id
-
-
 def _emit_publish(state: MqttClientState, payload: bytes) -> list:
     cfg = state.config
-    msg_id = _next_id(state) if cfg.qos > 0 else 0
+    msg_id = next_msg_id(state) if cfg.qos > 0 else 0
     msg = MqttMsg(MQTT_PUBLISH, topic=cfg.topic, qos=cfg.qos,
                   msg_id=msg_id, payload=payload)
     state.publishes_sent += 1
-    actions = [SendMsg(msg, cfg.broker)]
+    actions = [SendMsg(msg, SERVER)]
     if cfg.qos > 0:
         state.inflight[msg_id] = (msg, 0)
-        actions.append(StartTimer(f"puback:{msg_id}", delay_s=cfg.puback_timeout_s))
+        actions.append(StartTimer(f"puback:{msg_id}", delay_s=PUBACK_TIMEOUT_S))
     return actions
 
 
-def _rearm_ping(state: MqttClientState) -> list:
-    return [StartTimer("ping", delay_s=state.config.keepalive_s)]
+def _rearm_ping() -> list:
+    return [StartTimer("ping", delay_s=KEEPALIVE_S)]
 
 
 def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, list]:
     cfg = state.config
     if isinstance(event, Started):
         state.phase = "connecting"
-        return state, [OpenStream(cfg.broker)]
+        return state, [OpenStream(SERVER)]
 
     if isinstance(event, StreamUp):
         state.phase = "handshaking"
         connect = MqttMsg(MQTT_CONNECT, client_id=cfg.client_id,
-                          keepalive_s=int(cfg.keepalive_s))
-        return state, [SendMsg(connect, cfg.broker),
-                       StartTimer("connack", delay_s=cfg.connack_timeout_s),
-                       *_rearm_ping(state)]
+                          keepalive_s=int(KEEPALIVE_S))
+        return state, [SendMsg(connect, SERVER),
+                       StartTimer("connack", delay_s=CONNACK_TIMEOUT_S),
+                       *_rearm_ping()]
 
     if isinstance(event, StreamDown):
         state.phase = "idle"
@@ -106,15 +92,6 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
         state.inflight.clear()
         return state, actions
 
-    if isinstance(event, AppPublish):
-        if state.phase != "up":
-            state.pending.append(event.payload)
-            if state.phase == "idle":
-                state.phase = "connecting"
-                return state, [OpenStream(cfg.broker)]
-            return state, []
-        return state, _emit_publish(state, event.payload) + _rearm_ping(state)
-
     if isinstance(event, MsgIn):
         msg = event.msg
         if msg.type == MQTT_CONNACK and state.phase == "handshaking":
@@ -122,10 +99,9 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             actions = [StopTimer("connack")]
             while state.pending:
                 actions += _emit_publish(state, state.pending.popleft())
-            actions += start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
-                                        cfg.publish_period_s)
+            actions += start_grid_timer("publish", event.now_s, cfg.offset_s, cfg.period_s)
             if actions[1:]:
-                actions += _rearm_ping(state)
+                actions += _rearm_ping()
             return state, actions
         if msg.type == MQTT_PUBACK:
             if msg.msg_id in state.inflight:
@@ -136,44 +112,31 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             state.received.append(msg)
             if msg.qos > 0:
                 puback = MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id)
-                return state, [SendMsg(puback, cfg.broker)] + _rearm_ping(state)
+                return state, [SendMsg(puback, SERVER)] + _rearm_ping()
             return state, []
         return state, []
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
             payload = bytes(cfg.payload_bytes)
-            actions = start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
-                                       cfg.publish_period_s)
+            actions = start_grid_timer("publish", event.now_s, cfg.offset_s, cfg.period_s)
             if state.phase != "up":
                 # link is down; queue and let the reconnect flush the backlog
                 state.pending.append(payload)
                 if state.phase == "idle":
                     state.phase = "connecting"
-                    actions.append(OpenStream(cfg.broker))
+                    actions.append(OpenStream(SERVER))
                 return state, actions
-            return state, _emit_publish(state, payload) + actions + _rearm_ping(state)
+            return state, _emit_publish(state, payload) + actions + _rearm_ping()
         if event.key == "connack":
             state.phase = "idle"
             return state, [Notify("connection-failed", "no CONNACK"),
-                           CloseStream(cfg.broker)]
+                           CloseStream(SERVER)]
         if event.key == "ping":
             ping = MqttMsg(MQTT_PINGREQ)
-            return state, [SendMsg(ping, cfg.broker)] + _rearm_ping(state)
+            return state, [SendMsg(ping, SERVER)] + _rearm_ping()
         if event.key.startswith("puback:"):
-            msg_id = int(event.key.split(":", 1)[1])
-            entry = state.inflight.get(msg_id)
-            if entry is None:
-                return state, []
-            msg, tries = entry
-            if tries >= cfg.max_retries:
-                del state.inflight[msg_id]
-                return state, [Notify("publish-failed", f"msg_id {msg_id}")]
-            dup = MqttMsg(MQTT_PUBLISH, topic=msg.topic, qos=msg.qos,
-                          msg_id=msg.msg_id, payload=msg.payload, dup=True)
-            state.inflight[msg_id] = (msg, tries + 1)
-            return state, [SendMsg(dup, cfg.broker),
-                           StartTimer(event.key, delay_s=cfg.puback_timeout_s)]
+            return state, retry_publish(state, event.key, PUBACK_TIMEOUT_S, MAX_RETRIES)
         return state, []
 
     return state, []
@@ -189,7 +152,6 @@ class BrokerState:
     received: list[tuple[str, MqttMsg]] = field(default_factory=list)
     acked_ids: dict[str, int] = field(default_factory=dict)  # dedup per publisher
     next_msg_id: int = 1
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[BrokerState, list]:
@@ -198,7 +160,6 @@ def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[Broker
         return state, [SendMsg(MqttMsg(MQTT_CONNACK, rc=0), sender)]
 
     if sender not in state.sessions:
-        state.diagnostics.append(f"drop {msg.type} from unknown session {sender}")
         return state, [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == MQTT_SUBSCRIBE:
@@ -216,8 +177,7 @@ def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[Broker
             for subscriber in state.subscriptions.get(msg.topic, []):
                 forward_id = 0
                 if msg.qos > 0:
-                    forward_id = state.next_msg_id
-                    state.next_msg_id = forward_id % 0xFFFF + 1
+                    forward_id = next_msg_id(state)
                 forward = MqttMsg(MQTT_PUBLISH, topic=msg.topic, qos=msg.qos,
                                   msg_id=forward_id, payload=msg.payload)
                 actions.append(SendMsg(forward, subscriber))

@@ -7,11 +7,11 @@ translated back to MQTT-SN before they leave the gateway.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .actions import (
-    AppPublish,
+    SERVER,
+    ClientConfig,
     MsgIn,
     Notify,
     SendMsg,
@@ -19,6 +19,8 @@ from .actions import (
     StartTimer,
     StopTimer,
     TimerFired,
+    next_msg_id,
+    retry_publish,
     start_grid_timer,
 )
 from .messages import (
@@ -94,60 +96,43 @@ def gateway_translate(msg, registry: TopicRegistry):
 # ---------------------------------------------------------------------------
 # Client
 
-@dataclass(frozen=True)
-class SnClientConfig:
-    gateway: str = "server"
-    client_id: str = "z1-client"
-    topic: str = "temperature"
-    qos: int = 1
-    payload_bytes: int = 30
-    publish_offset_s: float = 1.0
-    publish_period_s: float = 5.0
-    keepalive_s: float = 30.0
-    connack_timeout_s: float = 5.0
-    ack_timeout_s: float = 1.0
-    max_retries: int = 3
+KEEPALIVE_S = 30.0
+CONNACK_TIMEOUT_S = 5.0
+ACK_TIMEOUT_S = 1.0  # REGACK and PUBACK
+MAX_RETRIES = 3  # REGISTER or PUBLISH resends before the client gives up
 
 
 @dataclass
 class SnClientState:
-    config: SnClientConfig = field(default_factory=SnClientConfig)
+    config: ClientConfig = field(default_factory=ClientConfig)
     phase: str = "idle"  # idle, connecting, registering, up
     topic_id: int = 0
     next_msg_id: int = 1
     register_tries: int = 0
     register_msg_id: int = 0
     inflight: dict[int, tuple[MqttSnMsg, int]] = field(default_factory=dict)
-    pending: deque = field(default_factory=deque)
     publishes_sent: int = 0
-
-
-def _next_id(state: SnClientState) -> int:
-    msg_id = state.next_msg_id
-    state.next_msg_id = msg_id % 0xFFFF + 1
-    return msg_id
 
 
 def _emit_publish(state: SnClientState, payload: bytes) -> list:
     cfg = state.config
-    msg_id = _next_id(state) if cfg.qos > 0 else 0
+    msg_id = next_msg_id(state) if cfg.qos > 0 else 0
     msg = MqttSnMsg(SN_PUBLISH, topic_id=state.topic_id, msg_id=msg_id,
                     payload=payload, qos=cfg.qos)
     state.publishes_sent += 1
-    actions = [SendMsg(msg, cfg.gateway)]
+    actions = [SendMsg(msg, SERVER)]
     if cfg.qos > 0:
         state.inflight[msg_id] = (msg, 0)
-        actions.append(StartTimer(f"puback:{msg_id}", delay_s=cfg.ack_timeout_s))
+        actions.append(StartTimer(f"puback:{msg_id}", delay_s=ACK_TIMEOUT_S))
     return actions
 
 
 def _send_register(state: SnClientState) -> list:
-    cfg = state.config
-    state.register_msg_id = _next_id(state)
+    state.register_msg_id = next_msg_id(state)
     register = MqttSnMsg(SN_REGISTER, topic_id=0, msg_id=state.register_msg_id,
-                         topic=cfg.topic)
-    return [SendMsg(register, cfg.gateway),
-            StartTimer("regack", delay_s=cfg.ack_timeout_s)]
+                         topic=state.config.topic)
+    return [SendMsg(register, SERVER),
+            StartTimer("regack", delay_s=ACK_TIMEOUT_S)]
 
 
 def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list]:
@@ -155,15 +140,9 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
     if isinstance(event, Started):
         state.phase = "connecting"
         connect = MqttSnMsg(SN_CONNECT, client_id=cfg.client_id,
-                            duration_s=int(cfg.keepalive_s))
-        return state, [SendMsg(connect, cfg.gateway),
-                       StartTimer("connack", delay_s=cfg.connack_timeout_s)]
-
-    if isinstance(event, AppPublish):
-        if state.phase != "up":
-            state.pending.append(event.payload)
-            return state, []
-        return state, _emit_publish(state, event.payload)
+                            duration_s=int(KEEPALIVE_S))
+        return state, [SendMsg(connect, SERVER),
+                       StartTimer("connack", delay_s=CONNACK_TIMEOUT_S)]
 
     if isinstance(event, MsgIn):
         msg = event.msg
@@ -175,12 +154,8 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
                 return state, []
             state.phase = "up"
             state.topic_id = msg.topic_id
-            actions = [StopTimer("regack")]
-            while state.pending:
-                actions += _emit_publish(state, state.pending.popleft())
-            actions += start_grid_timer("publish", event.now_s, cfg.publish_offset_s,
-                                        cfg.publish_period_s)
-            return state, actions
+            return state, [StopTimer("regack")] + start_grid_timer(
+                "publish", event.now_s, cfg.offset_s, cfg.period_s)
         if msg.type == SN_PUBACK:
             if msg.msg_id in state.inflight:
                 del state.inflight[msg.msg_id]
@@ -192,30 +167,18 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
         if event.key == "publish":
             payload = bytes(cfg.payload_bytes)
             return state, _emit_publish(state, payload) + start_grid_timer(
-                "publish", event.now_s, cfg.publish_offset_s, cfg.publish_period_s)
+                "publish", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key == "connack":
             state.phase = "idle"
             return state, [Notify("connection-failed", "no CONNACK")]
         if event.key == "regack":
-            if state.register_tries >= cfg.max_retries:
+            if state.register_tries >= MAX_RETRIES:
                 state.phase = "idle"
                 return state, [Notify("register-failed", cfg.topic)]
             state.register_tries += 1
             return state, _send_register(state)
         if event.key.startswith("puback:"):
-            msg_id = int(event.key.split(":", 1)[1])
-            entry = state.inflight.get(msg_id)
-            if entry is None:
-                return state, []
-            msg, tries = entry
-            if tries >= cfg.max_retries:
-                del state.inflight[msg_id]
-                return state, [Notify("publish-failed", f"msg_id {msg_id}")]
-            dup = MqttSnMsg(SN_PUBLISH, topic_id=msg.topic_id, msg_id=msg.msg_id,
-                            payload=msg.payload, qos=msg.qos, dup=True)
-            state.inflight[msg_id] = (msg, tries + 1)
-            return state, [SendMsg(dup, cfg.gateway),
-                           StartTimer(event.key, delay_s=cfg.ack_timeout_s)]
+            return state, retry_publish(state, event.key, ACK_TIMEOUT_S, MAX_RETRIES)
         return state, []
 
     return state, []
@@ -228,18 +191,14 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
 class GatewayState:
     registry: TopicRegistry = field(default_factory=TopicRegistry)
     broker: BrokerState = field(default_factory=BrokerState)
-    sessions: dict[str, str] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> tuple[GatewayState, list]:
     if msg.type == SN_CONNECT:
-        state.sessions[sender] = msg.client_id
         state.broker.sessions[sender] = msg.client_id
         return state, [SendMsg(MqttSnMsg(SN_CONNACK, rc=0), sender)]
 
-    if sender not in state.sessions:
-        state.diagnostics.append(f"drop {msg.type} from unknown session {sender}")
+    if sender not in state.broker.sessions:
         return state, [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == SN_REGISTER:
@@ -251,7 +210,6 @@ def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> tuple[Ga
         try:
             translated = gateway_translate(msg, state.registry)
         except TranslationError as err:
-            state.diagnostics.append(str(err))
             return state, [Notify("translation-error", str(err))]
         state.broker, broker_actions = broker_handle(state.broker, translated, sender)
         actions = []

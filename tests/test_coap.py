@@ -2,6 +2,7 @@
 
 from motesim.protocols import messages as wire
 from motesim.protocols.actions import (
+    ClientConfig,
     MsgIn,
     Notify,
     SendMsg,
@@ -11,7 +12,6 @@ from motesim.protocols.actions import (
     TimerFired,
 )
 from motesim.protocols.coap import (
-    CoapClientConfig,
     CoapClientState,
     CoapServerState,
     coap_exchange,
@@ -97,7 +97,7 @@ def test_reset_aborts_exchange():
 
 
 def test_non_confirmable_mode_sends_without_retx_state():
-    config = CoapClientConfig(confirmable=False)
+    config = ClientConfig(qos=0)
     state, actions = _first_request(CoapClientState(config))
     request = sent(actions)[0]
     assert request.mtype == wire.COAP_NON

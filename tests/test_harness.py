@@ -77,6 +77,9 @@ def test_validate_rejects_bad_values(overrides):
     dict(publish_period_s=math.nan),
     dict(publish_offset_s=math.inf),
     dict(interval_s=0.1, duration_s=1.0),  # 3276.8 ticks per interval
+    dict(topic="tempé"),  # the codecs write ASCII only
+    dict(client_id="zé"),
+    dict(protocol="http", host="sérveur"),
 ])
 def test_configs_that_would_fail_mid_run_fail_validation(overrides):
     # each of these once passed validate() (or raised something other than a
@@ -151,15 +154,22 @@ def test_scenario_file_errors_name_the_section_and_key(tmp_path, capsys, text, n
 
 def test_readme_lists_exactly_the_scenario_keys_and_defaults(tmp_path):
     text = (REPO_ROOT / "README.md").read_text()
-    readme = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    readme.read_string(re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1))
+    block = re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1)
+    readme = configparser.ConfigParser(interpolation=None)
+    readme.read_string(block)
     listed = {section: list(readme[section]) for section in readme.sections()}
     assert listed == {section: list(keys) for section, keys in scenario_schema().items()}
-    # the values shown are the defaults
+    # the block loads as it stands, and the values shown are the defaults
     path = tmp_path / "readme.ini"
-    with open(path, "w") as handle:
-        readme.write(handle)
+    path.write_text(block)
     assert load_scenario(path) == ScenarioConfig()
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text("[scenario]\nduration_s = 10\ntopic = 50%\n")
+    assert load_scenario(path).topic == "50%"
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 0
 
 
 # What each benchmark scenario file loads to; the benchmark's recorded

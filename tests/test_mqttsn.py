@@ -4,7 +4,6 @@ import pytest
 
 from motesim.protocols import messages as wire
 from motesim.protocols.actions import (
-    AppPublish,
     MsgIn,
     Notify,
     SendMsg,
@@ -14,6 +13,7 @@ from motesim.protocols.actions import (
     TimerFired,
 )
 from motesim.protocols.mqttsn import (
+    MAX_RETRIES,
     GatewayState,
     SnClientState,
     TopicRegistry,
@@ -156,7 +156,7 @@ def test_puback_timeout_retransmits_then_gives_up():
     state, actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
     msg_id = sent(actions)[0].msg_id
     key = f"puback:{msg_id}"
-    for _ in range(state.config.max_retries):
+    for _ in range(MAX_RETRIES):
         state, actions = mqttsn_client_step(state, TimerFired(key, 2.0))
         dup = sent(actions)[0]
         assert dup.dup is True and dup.msg_id == msg_id
@@ -180,26 +180,12 @@ def test_register_timeout_retries_then_fails():
     state, _ = mqttsn_client_step(state, Started(0.0))
     state, _ = mqttsn_client_step(
         state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
-    for _ in range(state.config.max_retries):
+    for _ in range(MAX_RETRIES):
         state, actions = mqttsn_client_step(state, TimerFired("regack", 1.0))
         assert sent(actions)[0].type == wire.SN_REGISTER
     state, actions = mqttsn_client_step(state, TimerFired("regack", 9.0))
     assert only(actions, Notify)[0].kind == "register-failed"
     assert state.phase == "idle"
-
-
-def test_early_publishes_flushed_after_registration():
-    state = SnClientState()
-    state, _ = mqttsn_client_step(state, Started(0.0))
-    state, actions = mqttsn_client_step(state, AppPublish(b"early", 0.01))
-    assert sent(actions) == []
-    state, _ = mqttsn_client_step(
-        state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
-    regack = wire.MqttSnMsg(wire.SN_REGACK, topic_id=3,
-                            msg_id=state.register_msg_id, rc=0)
-    state, actions = mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
-    flushed = [m for m in sent(actions) if m.type == wire.SN_PUBLISH]
-    assert [m.payload for m in flushed] == [b"early"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +196,6 @@ def test_gateway_connect_creates_sessions_both_sides():
     connect = wire.MqttSnMsg(wire.SN_CONNECT, client_id="node-1", duration_s=30)
     state, actions = gateway_handle(state, connect, "client")
     assert sent(actions)[0].type == wire.SN_CONNACK
-    assert state.sessions == {"client": "node-1"}
     assert state.broker.sessions == {"client": "node-1"}
 
 

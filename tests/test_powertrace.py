@@ -7,7 +7,6 @@ import pytest
 from motesim.energy import (
     CpuState,
     CurrentProfile,
-    Domain,
     EnergestLedger,
     PowerSample,
     RadioState,
@@ -18,7 +17,7 @@ from motesim.powertrace import LedgerRegression, summarize, take_sample
 def _ledger_at_10s_mostly_lpm():
     # 1 s active then 9 s LPM, radio off throughout
     ledger = EnergestLedger()
-    ledger.transition(Domain.CPU, CpuState.LPM, 32768)
+    ledger.transition(CpuState.LPM, 32768)
     ledger.settle(327680)
     return ledger
 
@@ -42,9 +41,9 @@ def test_take_sample_with_radio_activity():
     profile = CurrentProfile()
     prev = EnergestLedger()
     now = EnergestLedger()
-    now.transition(Domain.RADIO, RadioState.TX, 0)
-    now.transition(Domain.RADIO, RadioState.RX, 16384)
-    now.transition(Domain.RADIO, RadioState.OFF, 49152)
+    now.transition(RadioState.TX, 0)
+    now.transition(RadioState.RX, 16384)
+    now.transition(RadioState.OFF, 49152)
     now.settle(327680)
     row = take_sample(prev, now, profile, 10.0)
     assert row.tx_delta == 16384
@@ -58,7 +57,7 @@ def test_take_sample_diffs_against_previous_snapshot():
     first = EnergestLedger()
     first.settle(32768)
     snap = first.snapshot()
-    first.transition(Domain.CPU, CpuState.LPM, 32768)
+    first.transition(CpuState.LPM, 32768)
     first.settle(65536)
     row = take_sample(snap, first, profile, 1.0)
     assert row.cpu_delta == 0
