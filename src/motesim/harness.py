@@ -22,7 +22,13 @@ from .medium import (
 from .powertrace import TraceRow, summarize, take_sample
 from .protocols import actions as act
 from .protocols import messages as wire
-from .protocols.coap import CoapClientState, CoapServerState, coap_exchange, coap_server_handle
+from .protocols.coap import (
+    TOKEN_BYTES,
+    CoapClientState,
+    CoapServerState,
+    coap_exchange,
+    coap_server_handle,
+)
 from .protocols.http import HttpClientState, HttpServerState, http_server_handle, http_step
 from .protocols.mqtt import BrokerState, MqttClientState, broker_handle, mqtt_client_step
 from .protocols.mqttsn import GatewayState, SnClientState, gateway_handle, mqttsn_client_step
@@ -106,12 +112,52 @@ class ScenarioConfig:
                 )
             if self.duty.check_duration_ticks < 0:
                 raise ScenarioError("duty.check_duration_ticks must be >= 0")
+        try:
+            largest = _largest_frame(self)
+        except ValueError as err:
+            raise ScenarioError(f"{self.protocol}: {err}") from None
+        if largest > self.overheads.mtu_bytes:
+            raise ScenarioError(
+                f"{self.protocol}: a frame of {largest} B exceeds overheads.mtu_bytes "
+                f"({self.overheads.mtu_bytes} B)"
+            )
         return self
 
     def client_ids(self) -> list[str]:
         if self.clients == 1:
             return ["client"]
         return [f"client-{i + 1}" for i in range(self.clients)]
+
+    def client_names(self) -> list[str]:
+        """The client id each client sends on the wire, in client_ids() order."""
+        if self.clients == 1:
+            return [self.client_id]
+        return [f"{self.client_id}-{i + 1}" for i in range(self.clients)]
+
+
+def _largest_frame(config: ScenarioConfig) -> int:
+    """Bytes on air of the largest frame that a client's exchange cannot split.
+
+    A stream cuts data into segments that fit the MTU, so its smallest data
+    segment, one byte, must fit. Datagrams are not fragmented: the largest
+    message either side sends is encoded from the config.
+    """
+    over = config.overheads
+    if config.protocol in ("mqtt", "http"):
+        return over.link_bytes + over.stream_bytes + 1
+    payload = bytes(config.payload_bytes)
+    if config.protocol == "mqtt-sn":
+        client_id = max(config.client_names(), key=len)
+        encoded = [wire.sn_encode(wire.MqttSnMsg(wire.SN_CONNECT, client_id=client_id)),
+                   wire.sn_encode(wire.MqttSnMsg(wire.SN_REGISTER, topic=config.topic)),
+                   wire.sn_encode(wire.MqttSnMsg(wire.SN_PUBLISH, qos=config.qos,
+                                                 payload=payload))]
+    else:
+        token = bytes(TOKEN_BYTES)
+        encoded = [wire.coap_encode(wire.CoapMsg(wire.COAP_CON, "GET", 0, token, config.topic)),
+                   wire.coap_encode(wire.CoapMsg(wire.COAP_ACK, "2.05", 0, token,
+                                                 payload=payload))]
+    return over.link_bytes + over.datagram_bytes + max(map(len, encoded))
 
 
 # Scenario-file sections: the flat ScenarioConfig fields split into [scenario]
@@ -411,12 +457,11 @@ def simulate(config: ScenarioConfig) -> SimRun:
 
     (transport, client_step, client_state, client_kind,
      handler, server_state, server_kind) = _protocol_table(config)[config.protocol]
-    for index, node_id in enumerate(client_ids):
+    for node_id, client_name in zip(client_ids, config.client_names()):
         node = sim.nodes[node_id] = Node(node_id, engine, medium, config.duty,
                                          config.cpu_cost)
         client = act.ClientConfig(
-            client_id=(config.client_id if config.clients == 1
-                       else f"{config.client_id}-{index + 1}"),
+            client_id=client_name,
             topic=config.topic, qos=config.qos, payload_bytes=config.payload_bytes,
             offset_s=config.publish_offset_s, period_s=config.publish_period_s,
             host=config.host, path=config.http_path,
@@ -436,7 +481,7 @@ def simulate(config: ScenarioConfig) -> SimRun:
     def sample() -> None:
         now = engine.now
         for node_id, node in sim.nodes.items():
-            node.ledger.settle(now)
+            node.settle(now)
             snap = node.ledger.snapshot()
             rows[node_id].append(
                 take_sample(previous[node_id], snap, config.profile, config.interval_s)

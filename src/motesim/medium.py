@@ -152,6 +152,28 @@ class StreamConn:
     sendq: deque = field(default_factory=deque)
 
 
+class CheckRound:
+    """Marks where the idle checks of duty-cycled nodes fall in the event order.
+
+    Nodes account their checks lazily (Node._catch_up). This one event per
+    check period does no work: it records the tick it last ran, so that a
+    check at the current tick counts as done only once the events queued
+    ahead of it have run.
+    """
+
+    def __init__(self, engine: Engine, period: int):
+        self.engine = engine
+        self.period = period
+        self.last: TickTime = -1
+        self.due = engine.now
+        self.event_id = engine.call_at(self.due, self._check_round)
+
+    def _check_round(self) -> None:
+        self.last = self.due
+        self.due += self.period
+        self.event_id = self.engine.call_at(self.due, self._check_round)
+
+
 class RadioMedium:
     """Node registry plus the broadcast propagation rule.
 
@@ -166,12 +188,27 @@ class RadioMedium:
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
         self._in_range: dict[str, list["Node"]] = {}
+        self._round: Optional[CheckRound] = None
 
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
             raise ValueError(f"no position for node {node.node_id!r}")
         self.nodes[node.node_id] = node
         self._in_range.clear()
+
+    def check_round(self, period: int) -> CheckRound:
+        """The check round of a duty-cycled node created now.
+
+        A node's first check falls at its creation tick, after the events
+        already queued for that tick. Nodes created one after another, with
+        nothing scheduled in between, share a round.
+        """
+        last = self._round
+        engine = self.engine
+        if (last is None or last.period != period or last.due != engine.now
+                or last.event_id != engine._next_seq - 1):
+            self._round = last = CheckRound(engine, period)
+        return last
 
     def _listeners(self, src: str) -> list["Node"]:
         """Nodes other than src within radio range of it, in registration order."""
@@ -231,6 +268,12 @@ class Node:
     Outbound frames are serialized: each one first occupies the CPU for its
     processing cost, then the radio for its airtime. Inbound frames charge the
     same CPU cost at delivery before the payload reaches a transport.
+
+    With duty cycling, the radio wakes every check period P for a window of D
+    ticks if the send pipeline is idle and the radio is off. These checks and
+    window ends schedule nothing: _catch_up() replays the ones due before every
+    point that reads or changes the radio or the pipeline, and settle() is how
+    the counters are read.
     """
 
     def __init__(
@@ -257,14 +300,23 @@ class Node:
         self._tx_until: TickTime = 0
         self._check_until: TickTime = 0
         self._rx_hold_until: TickTime = 0
+        self._round: Optional[CheckRound] = None
         medium.add_node(self)
         if duty.enabled:
             if duty.check_rate_hz <= 0 or RTIMER_HZ % duty.check_rate_hz != 0:
                 raise ValueError("check_rate_hz must evenly divide the tick rate")
             self._check_period = RTIMER_HZ // duty.check_rate_hz
-            engine.call_at(engine.now, self._run_check)
+            self._round = medium.check_round(self._check_period)
+            self._next_check = engine.now
+            self._window_ends: deque[TickTime] = deque()  # aborted windows' too
         else:
             self.ledger.transition(RadioState.RX, engine.now)
+
+    def settle(self, now: TickTime) -> EnergestLedger:
+        """Accrue the ledger up to now, idle checks included; read counters after this."""
+        if self._round is not None:
+            self._catch_up(now)
+        return self.ledger.settle(now)
 
     # -- outbound pipeline ------------------------------------------------
 
@@ -280,6 +332,8 @@ class Node:
     def _pump(self) -> None:
         if self._pipeline_busy or not self._outbox:
             return
+        if self._round is not None:
+            self._catch_up(self.engine.now)
         self._pipeline_busy = True
         frame = self._outbox.popleft()
         cost = self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes)
@@ -292,6 +346,8 @@ class Node:
             # an inbound frame is mid-air; transmit after it completes
             self.engine.call_at(self._rx_hold_until, self._start_tx, frame)
             return
+        if self._round is not None:
+            self._catch_up(now)
         air = airtime_ticks(frame.length_bytes)
         self._check_until = min(self._check_until, now)  # abort any idle check
         self.ledger.transition(RadioState.TX, now)
@@ -302,6 +358,8 @@ class Node:
 
     def _end_tx(self) -> None:
         now = self.engine.now
+        if self._round is not None:
+            self._catch_up(now)
         self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
         self._pipeline_busy = False
         self._pump()
@@ -316,6 +374,8 @@ class Node:
         """
         if self._tx_until > now:
             return False
+        if self._round is not None:
+            self._catch_up(now)
         if self.ledger.radio_state is not RadioState.RX:
             self.ledger.transition(RadioState.RX, now)
         end = now + air
@@ -338,19 +398,56 @@ class Node:
 
     # -- duty cycling ------------------------------------------------------
 
-    def _run_check(self) -> None:
-        now = self.engine.now
-        self.engine.call_at(now + self._check_period, self._run_check)
-        if self._pipeline_busy:
-            return  # pending outbound traffic preempts the check
-        if self.ledger.radio_state is not RadioState.OFF:
-            return  # already listening
-        self.ledger.transition(RadioState.RX, now)
-        self._check_until = now + self.duty.check_duration_ticks
-        self.engine.call_at(self._check_until, self._maybe_radio_off)
+    def _catch_up(self, now: TickTime) -> None:
+        """Replay the idle checks and window ends that come before this point.
+
+        A check at tick t is due if t < now, or t == now and the check round
+        for now has run. It opens a window [t, t + D) only if the pipeline is
+        idle and the radio is off. A window end applies the radio-off rule of
+        _maybe_radio_off at its own tick; the ends of windows that a
+        transmission aborted still apply it. An end on a check tick precedes
+        that check only when D > P: as events, the end was queued a period or
+        more before the check. Window ends commute with every other event at
+        their tick, so an end at now is due unless a check at now comes first.
+        """
+        last_check = now if self._round.last == now else now - 1
+        check = self._next_check
+        ends = self._window_ends
+        if check > last_check and not (ends and ends[0] <= now):
+            return
+        ledger = self.ledger
+        period = self._check_period
+        width = self.duty.check_duration_ticks
+        while True:
+            if ends:
+                end = ends[0]
+                if end <= now and (end < check or (end == check and width > period)):
+                    ends.popleft()
+                    if ledger.radio_state is RadioState.RX and not self._listening(end):
+                        ledger.transition(RadioState.OFF, end)
+                    continue
+            if check > last_check:
+                break
+            if self._pipeline_busy or ledger.radio_state is not RadioState.OFF:
+                check += period  # preempted by outbound traffic, or already listening
+                continue
+            if width < period:
+                # Each window closes before the next check and nothing else
+                # is pending, so all due windows but the last add D at once.
+                closed = (last_check - check) // period
+                ledger.rx_ticks += closed * width
+                check += closed * period
+            ledger.transition(RadioState.RX, check)
+            self._check_until = check + width
+            ends.append(self._check_until)
+            check += period
+        self._next_check = check
 
     def _maybe_radio_off(self) -> None:
+        """End of a receive hold (duty-cycled nodes only): back to sleep
+        unless still listening."""
         now = self.engine.now
+        self._catch_up(now)
         if self.ledger.radio_state is RadioState.RX and not self._listening(now):
             self.ledger.transition(RadioState.OFF, now)
 

@@ -15,7 +15,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# MQTT: 2-byte fixed header (type/flags + 1-byte remaining length, < 128)
+# MQTT: fixed header of type/flags plus a 1-4 byte remaining length
 
 MQTT_CONNECT = "CONNECT"
 MQTT_CONNACK = "CONNACK"
@@ -58,6 +58,40 @@ def _u16(value: int) -> bytes:
     return value.to_bytes(2, "big")
 
 
+# Remaining length (MQTT 3.1.1 section 2.2.3): 7 bits per byte, least
+# significant group first, high bit set on every byte but the last.
+_MQTT_MAX_LENGTH_BYTES = 4
+
+
+def _mqtt_remaining_length(length: int) -> bytes:
+    if length < 0x80:  # the common one-byte form, without the loop
+        return bytes((length,))
+    if length >= 1 << (7 * _MQTT_MAX_LENGTH_BYTES):
+        raise ValueError(f"MQTT body of {length} bytes exceeds the 4-byte length limit")
+    out = bytearray()
+    while True:
+        length, digit = divmod(length, 128)
+        if not length:
+            out.append(digit)
+            return bytes(out)
+        out.append(digit | 0x80)
+
+
+def _take_mqtt_length(data: bytes) -> Optional[tuple[int, int]]:
+    """(remaining length, fixed-header size) of a frame, or None if data ends
+    inside the length field."""
+    if len(data) > 1 and data[1] < 0x80:  # the common one-byte form
+        return data[1], 2
+    length = 0
+    for at in range(1, min(len(data), 1 + _MQTT_MAX_LENGTH_BYTES)):
+        length |= (data[at] & 0x7F) << (7 * (at - 1))
+        if not data[at] & 0x80:
+            return length, at + 1
+    if len(data) > _MQTT_MAX_LENGTH_BYTES:
+        raise ParseError("remaining length longer than 4 bytes")
+    return None
+
+
 def _mqtt_string(text: str) -> bytes:
     raw = text.encode("ascii")
     return _u16(len(raw)) + raw
@@ -88,10 +122,8 @@ def mqtt_encode(msg: MqttMsg) -> bytes:
         body = _u16(msg.msg_id) + _mqtt_string(msg.topic) + bytes([msg.qos])
     elif msg.type == MQTT_SUBACK:
         body = _u16(msg.msg_id) + bytes([msg.rc])
-    if len(body) >= 128:
-        raise ValueError(f"MQTT body of {len(body)} bytes exceeds 1-byte length limit")
-    header = bytes([(_MQTT_TYPE_CODES[msg.type] << 4) | flags, len(body)])
-    return header + body
+    header = bytes([(_MQTT_TYPE_CODES[msg.type] << 4) | flags])
+    return header + _mqtt_remaining_length(len(body)) + body
 
 
 def _take_mqtt_string(data: bytes, at: int) -> tuple[str, int]:
@@ -112,9 +144,13 @@ def mqtt_decode(data: bytes) -> MqttMsg:
     if type_code not in _MQTT_CODE_TYPES:
         raise ParseError(f"unknown MQTT type code {type_code}")
     mtype = _MQTT_CODE_TYPES[type_code]
-    if data[1] != len(data) - 2:
+    length = _take_mqtt_length(data)
+    if length is None:
+        raise ParseError("truncated remaining length")
+    remaining, header = length
+    if remaining != len(data) - header:
         raise ParseError("remaining-length mismatch")
-    body = data[2:]
+    body = data[header:]
     if mtype == MQTT_CONNECT:
         name, at = _take_mqtt_string(body, 0)
         if name != "MQTT" or at + 4 > len(body):
@@ -163,9 +199,11 @@ def mqtt_decode(data: bytes) -> MqttMsg:
 
 def mqtt_decode_prefix(buffer: bytes) -> Optional[tuple[MqttMsg, int]]:
     """Decode one message from the head of a stream buffer, or None if incomplete."""
-    if len(buffer) < 2:
+    length = _take_mqtt_length(buffer)
+    if length is None:
         return None
-    total = 2 + buffer[1]
+    remaining, header = length
+    total = header + remaining
     if len(buffer) < total:
         return None
     return mqtt_decode(bytes(buffer[:total])), total
@@ -303,7 +341,17 @@ _COAP_METHOD_CODES = {
 _COAP_CODE_METHODS = {v: k for k, v in _COAP_METHOD_CODES.items()}
 
 _URI_PATH_OPTION = 11
-_MAX_URI_PATH = 12  # single option with a 4-bit length nibble
+# Option length (RFC 7252 section 3.1): a nibble of 0-12 is the length; 13
+# adds one byte holding length - 13, 14 adds two holding length - 269.
+_MAX_OPTION_LENGTH = 269 + 0xFFFF
+
+
+def _coap_option_header(delta: int, length: int) -> bytes:
+    if length < 13:
+        return bytes([(delta << 4) | length])
+    if length < 269:
+        return bytes([(delta << 4) | 13, length - 13])
+    return bytes([(delta << 4) | 14]) + _u16(length - 269)
 
 
 @dataclass(frozen=True)
@@ -318,8 +366,8 @@ class CoapMsg:
     def __post_init__(self):
         if len(self.token) > 8:
             raise ValueError("token longer than 8 bytes")
-        if len(self.uri_path) > _MAX_URI_PATH:
-            raise ValueError(f"uri_path longer than {_MAX_URI_PATH} bytes")
+        if len(self.uri_path) > _MAX_OPTION_LENGTH:
+            raise ValueError(f"uri_path longer than {_MAX_OPTION_LENGTH} bytes")
 
 
 def coap_encode(msg: CoapMsg) -> bytes:
@@ -334,7 +382,7 @@ def coap_encode(msg: CoapMsg) -> bytes:
     out += msg.token
     if msg.uri_path:
         path = msg.uri_path.encode("ascii")
-        out.append((_URI_PATH_OPTION << 4) | len(path))
+        out += _coap_option_header(_URI_PATH_OPTION, len(path))
         out += path
     if msg.payload:
         out.append(0xFF)
@@ -366,10 +414,19 @@ def coap_decode(data: bytes) -> CoapMsg:
         length = data[at] & 0x0F
         if delta != _URI_PATH_OPTION:
             raise ParseError(f"unsupported option delta {delta}")
-        end = at + 1 + length
+        at += 1
+        if length == 15:
+            raise ParseError("reserved option length nibble 15")
+        if length >= 13:
+            size = length - 12  # extended length bytes
+            if at + size > len(data):
+                raise ParseError("truncated option length")
+            length = int.from_bytes(data[at : at + size], "big") + (13 if size == 1 else 269)
+            at += size
+        end = at + length
         if end > len(data):
             raise ParseError("truncated Uri-Path option")
-        uri_path = data[at + 1 : end].decode("ascii")
+        uri_path = data[at:end].decode("ascii")
         at = end
     payload = b""
     if at < len(data):

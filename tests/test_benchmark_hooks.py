@@ -18,8 +18,9 @@ DEFAULT_RUN_COUNTS = {
     "protocols.step": 336,
     "protocols.encode": 166,
     "protocols.decode": 248,
-    "energy.transition": 15460,
+    "energy.transition": 3300,
     "medium.broadcast": 351,
+    "engine.events": 5781,
 }
 
 

@@ -40,6 +40,25 @@ def test_mqtt_acks_are_four_bytes():
     assert len(wire.encode(wire.MqttMsg(wire.MQTT_CONNACK, rc=0))) == 4
 
 
+@pytest.mark.parametrize("body,length_bytes",
+                         [(127, 1), (128, 2), (16383, 2), (16384, 3)])
+def test_mqtt_remaining_length_is_a_varint(body, length_bytes):
+    # PUBLISH at qos 0 with topic "t": body = 2 + 1 topic byte + payload
+    msg = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=0, payload=bytes(body - 3))
+    data = wire.encode(msg)
+    assert len(data) == 1 + length_bytes + body
+    assert all(byte & 0x80 for byte in data[1:length_bytes])
+    assert not data[length_bytes] & 0x80
+    assert wire.decode(data, "mqtt") == msg
+    assert wire.mqtt_decode_prefix(data + b"\x40") == (msg, len(data))
+
+
+def test_mqtt_remaining_length_bytes_example():
+    # 321 = 0b10_1000001: low 7 bits first with the continuation bit set
+    msg = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=0, payload=bytes(318))
+    assert wire.encode(msg)[1:3] == bytes([0xC1, 0x02])
+
+
 def test_mqttsn_publish_size_example():
     # 1 length + 1 type + 1 flags + 2 topic id + 2 msg id + payload
     msg = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=1, msg_id=1, qos=1, payload=b"abc")
@@ -56,6 +75,22 @@ def test_coap_get_size_example():
     # 4 header + 0 token + (1 option byte + 1 path byte), no payload marker
     msg = wire.CoapMsg(wire.COAP_CON, "GET", 1, token=b"", uri_path="s")
     assert len(wire.encode(msg)) == 6
+
+
+@pytest.mark.parametrize("path_len,option_header",
+                         [(12, 1), (13, 2), (268, 2), (269, 3), (300, 3)])
+def test_coap_uri_path_uses_extended_option_length(path_len, option_header):
+    msg = wire.CoapMsg(wire.COAP_CON, "GET", 1, token=b"", uri_path="p" * path_len)
+    data = wire.encode(msg)
+    assert len(data) == 4 + option_header + path_len
+    assert wire.decode(data, "coap") == msg
+
+
+def test_coap_extended_option_length_bytes_example():
+    msg = wire.CoapMsg(wire.COAP_CON, "GET", 1, token=b"", uri_path="temperature-x")
+    assert wire.encode(msg)[4:6] == bytes([(11 << 4) | 13, 0])
+    long_msg = wire.CoapMsg(wire.COAP_CON, "GET", 1, token=b"", uri_path="p" * 300)
+    assert wire.encode(long_msg)[4:7] == bytes([(11 << 4) | 14, 0, 31])
 
 
 def test_coap_response_size():
@@ -166,6 +201,18 @@ def test_coap_decode_rejects_bad_version_and_truncation():
             wire.decode(good[:cut], "coap")
 
 
+def test_coap_decode_rejects_bad_extended_option_length():
+    header = bytes([0x40, 1, 0, 1])  # CON GET, no token
+    with pytest.raises(wire.ParseError):
+        wire.decode(header + bytes([(11 << 4) | 15]) + b"p", "coap")  # reserved nibble
+    with pytest.raises(wire.ParseError):
+        wire.decode(header + bytes([(11 << 4) | 13]), "coap")  # length byte missing
+    with pytest.raises(wire.ParseError):
+        wire.decode(header + bytes([(11 << 4) | 14, 0]), "coap")  # one of two bytes
+    with pytest.raises(wire.ParseError):
+        wire.decode(header + bytes([(11 << 4) | 13, 5]) + b"p" * 17, "coap")  # 18 > 17
+
+
 def test_http_decode_rejects_garbage():
     with pytest.raises(wire.ParseError):
         wire.decode(b"nonsense\r\n\r\n", "http-request")
@@ -198,6 +245,16 @@ def test_mqtt_prefix_decoder_handles_partials_and_concatenation():
     msg2, used2 = wire.mqtt_decode_prefix(buffer[used:])
     assert used2 == len(second)
     assert msg2.type == wire.MQTT_PUBACK
+
+
+def test_mqtt_prefix_decoder_waits_inside_a_multibyte_length():
+    data = wire.encode(wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=0,
+                                    payload=bytes(20000)))
+    assert data[1] & 0x80 and data[2] & 0x80  # three length bytes
+    for cut in (1, 2, 3, 4, len(data) - 1):
+        assert wire.mqtt_decode_prefix(data[:cut]) is None
+    with pytest.raises(wire.ParseError):
+        wire.mqtt_decode_prefix(b"\x30\xff\xff\xff\xff\x01")  # five length bytes
 
 
 def test_http_prefix_decoder_waits_for_full_body():

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from motesim.harness import PROTOCOLS, ScenarioConfig, simulate, write_csv
-from motesim.medium import DutyCycleConfig
+from motesim.medium import CpuCostModel, DutyCycleConfig, Overheads
 
 MATRIX = list(itertools.product(PROTOCOLS, (1.0, 0.7), (1, 10), (True, False)))
 
@@ -84,9 +84,52 @@ GOLDEN = {
 }
 
 
+# Configs where same-tick order decides whether an idle check opens a window:
+# a check period P of 4096 ticks unless the rate says otherwise, and check
+# widths D below, equal to and at multiples of P, so that window ends, aborted
+# windows' stale ends, checks and transmissions fall on one tick. Their
+# digests were recorded while every check and window end was an event.
+TIE_CASES = {
+    # D = 2P with short publish periods and reception loss: stale ends of
+    # aborted windows land on check ticks.
+    "mqtt-4x-d2p-rxloss": ScenarioConfig(
+        protocol="mqtt", duration_s=40, interval_s=2, seed=813264, clients=4,
+        payload_bytes=5, publish_period_s=0.3, qos=0, rx_success=0.8,
+        duty=DutyCycleConfig(True, 8, 8192), overheads=Overheads(mtu_bytes=600)),
+    "mqtt-4x-1hz-txloss": ScenarioConfig(
+        protocol="mqtt", clients=4, tx_success=0.7, duty=DutyCycleConfig(True, 1, 32)),
+    "coap-4x-d-eq-p-txloss": ScenarioConfig(
+        protocol="coap", clients=4, tx_success=0.7, duty=DutyCycleConfig(True, 8, 4096)),
+    "http-2x-period-0.125-d200": ScenarioConfig(
+        protocol="http", clients=2, duration_s=20, publish_period_s=0.125,
+        publish_offset_s=0.125, duty=DutyCycleConfig(True, 8, 200)),
+    "mqtt-sn-d0": ScenarioConfig(protocol="mqtt-sn", duty=DutyCycleConfig(True, 8, 0)),
+    "mqtt-zero-cpu-cost": ScenarioConfig(protocol="mqtt", cpu_cost=CpuCostModel(0, 0)),
+}
+
+TIE_GOLDEN = {
+    'mqtt-4x-d2p-rxloss':
+        '8e861bccf8686aedc49cf17cd432f53efa5a3110c53bbd88109c4d4f0cc003e8',
+    'mqtt-4x-1hz-txloss':
+        '167370a5370b533e396f679d5338e97d5f3ad41232c6ae11a493711da5c23935',
+    'coap-4x-d-eq-p-txloss':
+        '9bb0cde1e6a8bd1a03bf81c5a91b7516c0f45a7a7bfa186aa1b5b718be1eb5c1',
+    'http-2x-period-0.125-d200':
+        'b120fccd41af67c229c86d2b9f4244d0cb0aa044bda7e94bb183e925e894801c',
+    'mqtt-sn-d0':
+        '588ecbedb34eeef8b41afeca7f50fc0ae795753385565dbc0f3bb4412757385a',
+    'mqtt-zero-cpu-cost':
+        '7d74fc2c768b3f4b222004e32da495c3ff18bdfa4fe115b493d933495562f626',
+}
+
+
 def run_digest(protocol, tx_success, clients, duty, tmp_path) -> str:
-    config = ScenarioConfig(protocol=protocol, tx_success=tx_success,
-                            clients=clients, duty=DutyCycleConfig(enabled=duty))
+    return config_digest(ScenarioConfig(protocol=protocol, tx_success=tx_success,
+                                        clients=clients,
+                                        duty=DutyCycleConfig(enabled=duty)), tmp_path)
+
+
+def config_digest(config, tmp_path) -> str:
     sim = simulate(config)
     digest = hashlib.sha256()
     for node_id, trace in sim.traces.items():
@@ -100,3 +143,8 @@ def run_digest(protocol, tx_success, clients, duty, tmp_path) -> str:
 def test_trace_csvs_match_golden(protocol, tx_success, clients, duty, tmp_path):
     key = (protocol, tx_success, clients, duty)
     assert run_digest(*key, tmp_path) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("name", TIE_CASES)
+def test_same_tick_duty_cases_match_golden(name, tmp_path):
+    assert config_digest(TIE_CASES[name], tmp_path) == TIE_GOLDEN[name]

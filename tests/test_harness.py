@@ -24,7 +24,7 @@ from motesim.harness import (
     write_csv,
     write_report_csv,
 )
-from motesim.medium import DutyCycleConfig
+from motesim.medium import DutyCycleConfig, Overheads
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
 
@@ -80,6 +80,14 @@ def test_validate_rejects_bad_values(overrides):
     dict(topic="tempé"),  # the codecs write ASCII only
     dict(client_id="zé"),
     dict(protocol="http", host="sérveur"),
+    dict(protocol="mqtt-sn", payload_bytes=200),  # a 237 B PUBLISH frame, MTU 127 B
+    dict(protocol="coap", payload_bytes=200),  # a 243 B response frame
+    dict(protocol="mqtt-sn", payload_bytes=91),  # 128 B, one byte over
+    dict(protocol="coap", payload_bytes=85),
+    dict(protocol="mqtt-sn", clients=3, client_id="c" * 120),  # a 158 B CONNECT
+    dict(protocol="mqtt-sn", payload_bytes=300, overheads=Overheads(mtu_bytes=600)),
+    dict(protocol="mqtt", overheads=Overheads(mtu_bytes=50)),  # no room for stream data
+    dict(protocol="http", overheads=Overheads(mtu_bytes=45)),
 ])
 def test_configs_that_would_fail_mid_run_fail_validation(overrides):
     # each of these once passed validate() (or raised something other than a
@@ -89,6 +97,27 @@ def test_configs_that_would_fail_mid_run_fail_validation(overrides):
         ScenarioConfig(**overrides).validate()
     with pytest.raises(ScenarioError):
         simulate(ScenarioConfig(**{"duration_s": 10.0, **overrides}))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(protocol="mqtt", payload_bytes=120),  # a 3-byte remaining length
+    dict(protocol="mqtt", payload_bytes=2000, overheads=Overheads(mtu_bytes=600)),
+    dict(protocol="coap", topic="temperature-x"),  # a 13-byte Uri-Path
+    dict(protocol="coap", topic="t" * 300, payload_bytes=10, overheads=Overheads(mtu_bytes=600)),
+    dict(protocol="mqtt-sn", payload_bytes=90),  # exactly 127 B
+    dict(protocol="coap", payload_bytes=84),
+])
+def test_configs_at_codec_and_mtu_limits_run_to_the_end(overrides):
+    # each of these once failed inside the run
+    config = ScenarioConfig(**{**SHORT, **overrides})
+    sim = simulate(config)
+    assert _error_kinds(sim) == []
+    if config.protocol == "coap":
+        delivered = [m.payload for m in sim.runtimes["client"].state.responses]
+    else:
+        server = sim.runtimes["server"].state
+        delivered = [m.payload for _, m in getattr(server, "broker", server).received]
+    assert delivered == [bytes(config.payload_bytes)] * 4  # publishes at 1, 6, 11, 16 s
 
 
 def test_load_scenario_full_file(tmp_path):

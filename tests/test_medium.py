@@ -126,8 +126,8 @@ def test_out_of_range_never_delivers_but_tx_still_paid():
     nodes["b"].datagrams.on_datagram = lambda src, data: got.append(data)
     nodes["a"].datagrams.send("b", b"x")
     engine.run(seconds_to_ticks(1))
-    nodes["a"].ledger.settle(engine.now)
-    nodes["b"].ledger.settle(engine.now)
+    nodes["a"].settle(engine.now)
+    nodes["b"].settle(engine.now)
     assert got == []
     assert nodes["a"].ledger.tx_ticks == airtime_ticks(31)
     assert nodes["b"].ledger.rx_ticks == engine.now  # idle listening only
@@ -141,8 +141,8 @@ def test_lost_frame_burns_energy_on_both_sides():
     nodes["b"].datagrams.on_datagram = lambda src, data: got.append(data)
     nodes["a"].datagrams.send("b", b"x")
     engine.run(seconds_to_ticks(0.25))
-    nodes["a"].ledger.settle(engine.now)
-    nodes["b"].ledger.settle(engine.now)
+    nodes["a"].settle(engine.now)
+    nodes["b"].settle(engine.now)
     air = airtime_ticks(31)
     assert got == []
     assert nodes["a"].ledger.tx_ticks == air
@@ -200,7 +200,7 @@ def test_duty_cycle_idle_budget_example():
     medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
     node = Node("a", engine, medium, DutyCycleConfig(True, 8, 8))
     engine.run(seconds_to_ticks(10))
-    node.ledger.settle(engine.now)
+    node.settle(engine.now)
     assert node.ledger.rx_ticks == 640
     assert node.ledger.tx_ticks == 0
 
@@ -210,14 +210,30 @@ def test_duty_cycle_idle_budget_default_width():
     medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
     node = Node("a", engine, medium, DutyCycleConfig())
     engine.run(seconds_to_ticks(10))
-    node.ledger.settle(engine.now)
+    node.settle(engine.now)
     assert node.ledger.rx_ticks == 8 * 32 * 10
+
+
+def test_duty_node_created_mid_run_keeps_its_own_check_phase():
+    # a node created at tick 1000 checks at 1000 + k * 4096, not on the
+    # 4096-tick grid of the node created at tick 0
+    engine = Engine()
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0,
+                                           {"a": (0.0, 0.0), "b": (100.0, 0.0)}))
+    Node("a", engine, medium, DutyCycleConfig(True, 8, 8))
+    engine.run(1000)
+    late = Node("b", engine, medium, DutyCycleConfig(True, 8, 8))
+    for tick, rx_ticks in ((1000, 0), (1004, 4), (5095, 8), (5100, 12),
+                           (1000 + 10 * 4096 + 3, 10 * 8 + 3)):
+        engine.run(tick)
+        late.settle(engine.now)
+        assert late.ledger.rx_ticks == rx_ticks
 
 
 def test_duty_disabled_means_always_listening():
     engine, medium, nodes = make_world()
     engine.run(seconds_to_ticks(10))
-    nodes["a"].ledger.settle(engine.now)
+    nodes["a"].settle(engine.now)
     assert nodes["a"].ledger.rx_ticks == seconds_to_ticks(10)
 
 
@@ -234,7 +250,7 @@ def test_duty_cycled_receiver_wakes_for_frame():
     nodes["b"].datagrams.on_datagram = lambda src, data: got.append(data)
     engine.call_at(seconds_to_ticks(1), nodes["a"].datagrams.send, "b", b"ping")
     engine.run(seconds_to_ticks(2))
-    nodes["b"].ledger.settle(engine.now)
+    nodes["b"].settle(engine.now)
     assert got == [b"ping"]
     # the reception hold costs at least the frame's airtime on top of checks
     assert nodes["b"].ledger.rx_ticks >= airtime_ticks(34)
@@ -250,13 +266,13 @@ def test_every_duty_cycled_listener_pays_exactly_the_airtime():
     engine.run(1000)  # past the first check, before the next at 4096
     before = []
     for node in listeners:
-        node.ledger.settle(engine.now)
+        node.settle(engine.now)
         before.append(node.ledger.rx_ticks)
     nodes["a"].datagrams.send("b", bytes(20))
     engine.run(2000)
     frame = nodes["a"].sent_frames[0]
     for node, rx_before in zip(listeners, before):
-        node.ledger.settle(engine.now)
+        node.settle(engine.now)
         assert node.ledger.rx_ticks - rx_before == airtime_ticks(frame.length_bytes)
         assert node.ledger.radio_state is RadioState.OFF
 
@@ -267,7 +283,7 @@ def test_tick_conservation_during_traffic():
         engine.call_at(seconds_to_ticks(k + 1), nodes["a"].datagrams.send, "b", bytes(20))
     engine.run(seconds_to_ticks(10))
     for node in nodes.values():
-        node.ledger.settle(engine.now)
+        node.settle(engine.now)
         assert node.ledger.cpu_ticks + node.ledger.lpm_ticks == engine.now
         assert node.ledger.tx_ticks + node.ledger.rx_ticks <= engine.now
 
@@ -279,7 +295,7 @@ def test_tx_ticks_equal_sum_of_sent_airtimes():
     engine.call_at(seconds_to_ticks(2), nodes["a"].streams.send, conn, bytes(90))
     engine.run(seconds_to_ticks(5))
     for node in nodes.values():
-        node.ledger.settle(engine.now)
+        node.settle(engine.now)
         expected = sum(airtime_ticks(f.length_bytes) for f in node.sent_frames)
         assert node.ledger.tx_ticks == expected
 
