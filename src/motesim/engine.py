@@ -23,14 +23,9 @@ def seconds_to_ticks(seconds: float) -> TickTime:
     return whole if whole == ticks else whole + 1
 
 
-def ticks_to_seconds(ticks: TickTime) -> float:
-    return ticks / RTIMER_HZ
-
-
 @dataclass(frozen=True)
 class RunSummary:
     events_dispatched: int
-    final_clock: TickTime
 
 
 class Engine:
@@ -84,7 +79,4 @@ class Engine:
             dispatched += 1
             fn(*args)
         self.now = until
-        return RunSummary(dispatched, self.now)
-
-    def pending(self) -> int:
-        return len(self._live)
+        return RunSummary(dispatched)

@@ -77,6 +77,8 @@ class ScenarioConfig:
             for number in value if isinstance(value, tuple) else (value,):
                 if isinstance(number, float) and not math.isfinite(number):
                     raise ScenarioError(f"{section}.{key} must be finite, not {value}")
+            if section in ("overheads", "cpu") and value < 0:
+                raise ScenarioError(f"{section}.{key} must be >= 0, not {value}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r} (choose from {', '.join(PROTOCOLS)})"
@@ -98,6 +100,8 @@ class ScenarioConfig:
             )
         if self.clients < 1:
             raise ScenarioError("clients must be >= 1")
+        if self.report_node and self.report_node not in (*self.client_ids(), "server"):
+            raise ScenarioError(f"unknown report node {self.report_node!r}")
         if self.qos not in (0, 1):
             raise ScenarioError("qos must be 0 or 1")
         if not 0.0 <= self.tx_success <= 1.0 or not 0.0 <= self.rx_success <= 1.0:
@@ -268,8 +272,6 @@ class Trace:
 @dataclass
 class SimRun:
     config: ScenarioConfig
-    engine: Engine
-    medium: RadioMedium
     nodes: dict[str, Node]
     runtimes: dict[str, "ProtocolRuntime"]
     traces: dict[str, Trace]
@@ -452,8 +454,7 @@ def simulate(config: ScenarioConfig) -> SimRun:
     positions["server"] = config.server_pos
     link = LinkModel(config.range_m, config.tx_success, config.rx_success, positions)
     medium = RadioMedium(engine, link, config.overheads)
-    sim = SimRun(config=config, engine=engine, medium=medium, nodes={},
-                 runtimes={}, traces={}, events=[])
+    sim = SimRun(config=config, nodes={}, runtimes={}, traces={}, events=[])
 
     (transport, client_step, client_state, client_kind,
      handler, server_state, server_kind) = _protocol_table(config)[config.protocol]
@@ -510,10 +511,7 @@ def simulate(config: ScenarioConfig) -> SimRun:
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Run one scenario and return the trace of the reported node (the client)."""
     sim = simulate(config)
-    report_node = config.report_node or config.client_ids()[0]
-    if report_node not in sim.traces:
-        raise ScenarioError(f"unknown report node {report_node!r}")
-    return sim.traces[report_node]
+    return sim.traces[config.report_node or config.client_ids()[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,6 @@ class LinkModel:
     rx_success: float = 1.0
     positions: dict[str, tuple[float, float]] = field(default_factory=dict)
 
-    def distance(self, a: str, b: str) -> float:
-        ax, ay = self.positions[a]
-        bx, by = self.positions[b]
-        return math.hypot(ax - bx, ay - by)
-
-    def in_range(self, a: str, b: str) -> bool:
-        return self.distance(a, b) <= self.range_m
-
     def tx_passes(self, rng) -> bool:
         return _draw_passes(self.tx_success, rng)
 
@@ -140,7 +132,6 @@ class StreamConn:
     """Stop-and-wait connection endpoint state."""
 
     conn_id: int
-    local: str
     peer: str
     initiator: bool
     state: str = "CLOSED"  # CLOSED, SYN_SENT, ESTABLISHED, CLOSING
@@ -214,8 +205,9 @@ class RadioMedium:
         """Nodes other than src within radio range of it, in registration order."""
         listeners = self._in_range.get(src)
         if listeners is None:
-            listeners = [node for node_id, node in self.nodes.items()
-                         if node_id != src and self.link.in_range(src, node_id)]
+            positions, range_m = self.link.positions, self.link.range_m
+            listeners = [node for node_id, node in self.nodes.items() if node_id != src
+                         and math.dist(positions[src], positions[node_id]) <= range_m]
             self._in_range[src] = listeners
         return listeners
 
@@ -514,7 +506,6 @@ class StreamTransport:
     def connect(self, dst: str) -> StreamConn:
         conn = StreamConn(
             conn_id=next(self.node.medium.conn_ids),
-            local=self.node.node_id,
             peer=dst,
             initiator=True,
             state="SYN_SENT",
@@ -597,7 +588,6 @@ class StreamTransport:
             if conn is None:
                 conn = StreamConn(
                     conn_id=seg.conn_id,
-                    local=self.node.node_id,
                     peer=src,
                     initiator=False,
                     state="SYN_SENT",

@@ -30,8 +30,6 @@ from .messages import (
     MQTT_PINGRESP,
     MQTT_PUBACK,
     MQTT_PUBLISH,
-    MQTT_SUBACK,
-    MQTT_SUBSCRIBE,
     MqttMsg,
 )
 
@@ -48,7 +46,6 @@ class MqttClientState:
     next_msg_id: int = 1
     inflight: dict[int, tuple[MqttMsg, int]] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
-    received: list[MqttMsg] = field(default_factory=list)
     publishes_sent: int = 0
 
 
@@ -108,12 +105,6 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
                 del state.inflight[msg.msg_id]
                 return state, [StopTimer(f"puback:{msg.msg_id}")]
             return state, []
-        if msg.type == MQTT_PUBLISH:
-            state.received.append(msg)
-            if msg.qos > 0:
-                puback = MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id)
-                return state, [SendMsg(puback, SERVER)] + _rearm_ping()
-            return state, []
         return state, []
 
     if isinstance(event, TimerFired):
@@ -148,10 +139,8 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
 @dataclass
 class BrokerState:
     sessions: dict[str, str] = field(default_factory=dict)  # peer -> client_id
-    subscriptions: dict[str, list[str]] = field(default_factory=dict)
     received: list[tuple[str, MqttMsg]] = field(default_factory=list)
     acked_ids: dict[str, int] = field(default_factory=dict)  # dedup per publisher
-    next_msg_id: int = 1
 
 
 def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[BrokerState, list]:
@@ -162,29 +151,14 @@ def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[Broker
     if sender not in state.sessions:
         return state, [Notify("dropped", f"unknown session {sender}")]
 
-    if msg.type == MQTT_SUBSCRIBE:
-        subscribers = state.subscriptions.setdefault(msg.topic, [])
-        if sender not in subscribers:
-            subscribers.append(sender)
-        suback = MqttMsg(MQTT_SUBACK, msg_id=msg.msg_id, rc=msg.qos)
-        return state, [SendMsg(suback, sender)]
-
     if msg.type == MQTT_PUBLISH:
-        actions = []
         is_dup = msg.qos > 0 and state.acked_ids.get(sender, 0) >= msg.msg_id
         if not is_dup:
             state.received.append((sender, msg))
-            for subscriber in state.subscriptions.get(msg.topic, []):
-                forward_id = 0
-                if msg.qos > 0:
-                    forward_id = next_msg_id(state)
-                forward = MqttMsg(MQTT_PUBLISH, topic=msg.topic, qos=msg.qos,
-                                  msg_id=forward_id, payload=msg.payload)
-                actions.append(SendMsg(forward, subscriber))
-        if msg.qos > 0:
-            state.acked_ids[sender] = max(state.acked_ids.get(sender, 0), msg.msg_id)
-            actions.append(SendMsg(MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id), sender))
-        return state, actions
+        if msg.qos == 0:
+            return state, []
+        state.acked_ids[sender] = max(state.acked_ids.get(sender, 0), msg.msg_id)
+        return state, [SendMsg(MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id), sender)]
 
     if msg.type == MQTT_PINGREQ:
         return state, [SendMsg(MqttMsg(MQTT_PINGRESP), sender)]

@@ -1,8 +1,8 @@
 """MQTT-SN client and gateway state machines over the datagram transport.
 
-The gateway embeds a broker core: inbound MQTT-SN messages are translated to
-MQTT, handled by the broker logic, and the resulting MQTT replies are
-translated back to MQTT-SN before they leave the gateway.
+The gateway embeds a broker core: an inbound MQTT-SN PUBLISH becomes an MQTT
+PUBLISH on the registered topic name, and the gateway answers with an MQTT-SN
+PUBACK when the broker acks it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .actions import (
     start_grid_timer,
 )
 from .messages import (
-    MQTT_PUBACK,
     MQTT_PUBLISH,
     MqttMsg,
     MqttSnMsg,
@@ -65,32 +64,6 @@ class TopicRegistry:
         if topic_id not in self.by_id:
             raise TranslationError(f"unknown topic id {topic_id}")
         return self.by_id[topic_id]
-
-    def id_of(self, topic: str) -> int:
-        if topic not in self.by_name:
-            raise TranslationError(f"unregistered topic {topic!r}")
-        return self.by_name[topic]
-
-
-def gateway_translate(msg, registry: TopicRegistry):
-    """Translate MQTT-SN <-> MQTT; the direction follows the input type."""
-    if isinstance(msg, MqttSnMsg):
-        if msg.type == SN_PUBLISH:
-            return MqttMsg(MQTT_PUBLISH, topic=registry.name_of(msg.topic_id),
-                           qos=msg.qos, msg_id=msg.msg_id, payload=msg.payload,
-                           dup=msg.dup)
-        if msg.type == SN_PUBACK:
-            return MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id)
-        raise TranslationError(f"no MQTT equivalent for MQTT-SN {msg.type}")
-    if isinstance(msg, MqttMsg):
-        if msg.type == MQTT_PUBLISH:
-            return MqttSnMsg(SN_PUBLISH, topic_id=registry.id_of(msg.topic),
-                             qos=msg.qos, msg_id=msg.msg_id, payload=msg.payload,
-                             dup=msg.dup)
-        if msg.type == MQTT_PUBACK:
-            return MqttSnMsg(SN_PUBACK, topic_id=0, msg_id=msg.msg_id, rc=0)
-        raise TranslationError(f"no MQTT-SN equivalent for MQTT {msg.type}")
-    raise TranslationError(f"untranslatable message: {msg!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +181,15 @@ def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> tuple[Ga
 
     if msg.type == SN_PUBLISH:
         try:
-            translated = gateway_translate(msg, state.registry)
+            topic = state.registry.name_of(msg.topic_id)
         except TranslationError as err:
             return state, [Notify("translation-error", str(err))]
-        state.broker, broker_actions = broker_handle(state.broker, translated, sender)
-        actions = []
-        for action in broker_actions:
-            if isinstance(action, SendMsg):
-                reply = gateway_translate(action.msg, state.registry)
-                if isinstance(reply, MqttSnMsg) and reply.type == SN_PUBACK:
-                    reply = MqttSnMsg(SN_PUBACK, topic_id=msg.topic_id,
-                                      msg_id=reply.msg_id, rc=0)
-                actions.append(SendMsg(reply, action.dst))
-            else:
-                actions.append(action)
-        return state, actions
-
-    if msg.type == SN_PUBACK:
-        return state, []
+        publish = MqttMsg(MQTT_PUBLISH, topic=topic, qos=msg.qos, msg_id=msg.msg_id,
+                          payload=msg.payload, dup=msg.dup)
+        state.broker, acks = broker_handle(state.broker, publish, sender)
+        if not acks:
+            return state, []
+        puback = MqttSnMsg(SN_PUBACK, topic_id=msg.topic_id, msg_id=msg.msg_id, rc=0)
+        return state, [SendMsg(puback, sender)]
 
     return state, []

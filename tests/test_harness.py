@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import motesim
 from motesim.cli import main
 from motesim.energy import PowerSample
 from motesim.harness import (
@@ -24,7 +25,7 @@ from motesim.harness import (
     write_csv,
     write_report_csv,
 )
-from motesim.medium import DutyCycleConfig, Overheads
+from motesim.medium import CpuCostModel, DutyCycleConfig, Overheads
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
 
@@ -47,6 +48,7 @@ def test_defaults_validate():
 def test_multi_client_ids_are_numbered():
     assert ScenarioConfig(clients=3).client_ids() == [
         "client-1", "client-2", "client-3"]
+    ScenarioConfig(clients=3, report_node="client-3").validate()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -61,6 +63,10 @@ def test_multi_client_ids_are_numbered():
     dict(rx_success=-0.1),
     dict(range_m=math.nan),
     dict(client_pos=(0.0, math.inf)),
+    dict(overheads=Overheads(link_bytes=-5)),  # runs, with meaningless numbers
+    dict(cpu_cost=CpuCostModel(ticks_per_message=-10)),
+    dict(report_node="router"),  # caught before `motesim run` simulates
+    dict(clients=2, report_node="client"),
 ])
 def test_validate_rejects_bad_values(overrides):
     with pytest.raises(ScenarioError):
@@ -88,6 +94,11 @@ def test_validate_rejects_bad_values(overrides):
     dict(protocol="mqtt-sn", payload_bytes=300, overheads=Overheads(mtu_bytes=600)),
     dict(protocol="mqtt", overheads=Overheads(mtu_bytes=50)),  # no room for stream data
     dict(protocol="http", overheads=Overheads(mtu_bytes=45)),
+    dict(overheads=Overheads(link_bytes=-60)),  # negative airtime
+    dict(protocol="mqtt-sn", overheads=Overheads(datagram_bytes=-30)),
+    dict(overheads=Overheads(stream_bytes=-50)),
+    dict(cpu_cost=CpuCostModel(ticks_per_message=-100)),  # schedules into the past
+    dict(cpu_cost=CpuCostModel(ticks_per_byte=-5)),
 ])
 def test_configs_that_would_fail_mid_run_fail_validation(overrides):
     # each of these once passed validate() (or raised something other than a
@@ -179,6 +190,16 @@ def test_scenario_file_errors_name_the_section_and_key(tmp_path, capsys, text, n
     assert rc == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_package_exports_exactly_the_readme_api():
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+    assert sorted(motesim.__all__) == sorted(names)
+    exported = {}
+    exec("from motesim import *", exported)
+    assert sorted(set(exported) - {"__builtins__"}) == sorted(names)
 
 
 def test_readme_lists_exactly_the_scenario_keys_and_defaults(tmp_path):

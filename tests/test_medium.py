@@ -8,6 +8,7 @@ import pytest
 from motesim.energy import RadioState
 from motesim.engine import Engine, seconds_to_ticks
 from motesim.medium import (
+    BROADCAST,
     CpuCostModel,
     DutyCycleConfig,
     FrameTooLarge,
@@ -85,9 +86,15 @@ def test_frame_cpu_cost_counts_pdu_bytes_only():
 
 
 def test_link_model_geometry():
-    link = LinkModel(50.0, 1.0, 1.0, {"a": (0, 0), "b": (30, 40)})
-    assert link.distance("a", "b") == 50.0
-    assert link.in_range("a", "b")  # boundary is inclusive
+    engine, medium, nodes = make_world(positions={
+        "a": (0.0, 0.0), "edge": (30.0, 40.0), "beyond": (-50.01, 0.0)})
+    heard = []
+    for node_id in ("edge", "beyond"):
+        nodes[node_id].datagrams.on_datagram = (
+            lambda src, data, node_id=node_id: heard.append(node_id))
+    nodes["a"].datagrams.send(BROADCAST, b"x")
+    engine.run(seconds_to_ticks(1))
+    assert heard == ["edge"]  # exactly range_m away hears it, 0.01 m more does not
 
 
 def test_trivial_probabilities_consume_no_randomness():

@@ -176,16 +176,6 @@ def test_connack_timeout_resets_to_idle():
     assert CloseStream("server") in actions
 
 
-def test_inbound_qos1_publish_is_acked_and_recorded():
-    state = _client_up()
-    inbound = wire.MqttMsg(wire.MQTT_PUBLISH, topic="temperature", qos=1,
-                           msg_id=44, payload=b"fanout")
-    state, actions = mqtt_client_step(state, MsgIn(inbound, "server", 3.0))
-    assert state.received == [inbound]
-    acks = sent(actions)
-    assert acks[0].type == wire.MQTT_PUBACK and acks[0].msg_id == 44
-
-
 def test_ping_timer_sends_pingreq():
     state = _client_up()
     state, actions = mqtt_client_step(state, TimerFired("ping", 30.0))
@@ -218,25 +208,6 @@ def _connected_broker(peers=("client",)):
         connect = wire.MqttMsg(wire.MQTT_CONNECT, client_id=peer, keepalive_s=30)
         state, _ = broker_handle(state, connect, peer)
     return state
-
-
-def test_broker_subscribe_then_publish_fans_out():
-    state = _connected_broker(("pub", "sub"))
-    subscribe = wire.MqttMsg(wire.MQTT_SUBSCRIBE, topic="t", qos=1, msg_id=5)
-    state, actions = broker_handle(state, subscribe, "sub")
-    assert sent(actions)[0].type == wire.MQTT_SUBACK
-
-    publish = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=1, msg_id=9,
-                           payload=b"data")
-    state, actions = broker_handle(state, publish, "pub")
-    messages = only(actions, SendMsg)
-    forwarded = [a for a in messages if a.msg.type == wire.MQTT_PUBLISH]
-    acks = [a for a in messages if a.msg.type == wire.MQTT_PUBACK]
-    assert len(forwarded) == 1 and forwarded[0].dst == "sub"
-    assert forwarded[0].msg.payload == b"data"
-    assert forwarded[0].msg.msg_id != 9  # broker numbers its own deliveries
-    assert len(acks) == 1 and acks[0].dst == "pub" and acks[0].msg.msg_id == 9
-    assert state.received == [("pub", publish)]
 
 
 def test_broker_deduplicates_retransmitted_publish():

@@ -1,4 +1,4 @@
-"""MQTT-SN client machine, topic registry, and the translating gateway."""
+"""MQTT-SN client machine, topic registry, and the gateway."""
 
 import pytest
 
@@ -19,7 +19,6 @@ from motesim.protocols.mqttsn import (
     TopicRegistry,
     TranslationError,
     gateway_handle,
-    gateway_translate,
     mqttsn_client_step,
 )
 
@@ -42,55 +41,14 @@ def test_registry_assigns_sequential_ids_idempotently():
     assert (first, second) == (1, 2)
     assert registry.get_or_assign("temperature") == 1
     assert registry.name_of(1) == "temperature"
-    assert registry.id_of("humidity") == 2
+    assert registry.by_name["humidity"] == 2
 
 
 def test_registry_unknown_lookups_raise():
     registry = TopicRegistry()
     with pytest.raises(TranslationError):
         registry.name_of(99)
-    with pytest.raises(TranslationError):
-        registry.id_of("nope")
-
-
-# ---------------------------------------------------------------------------
-# Translation
-
-def test_translate_publish_both_directions():
-    registry = TopicRegistry()
-    topic_id = registry.get_or_assign("temperature")
-    sn = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=topic_id, msg_id=7, qos=1,
-                        payload=b"22C")
-    mqtt = gateway_translate(sn, registry)
-    assert isinstance(mqtt, wire.MqttMsg)
-    assert mqtt.type == wire.MQTT_PUBLISH
-    assert (mqtt.topic, mqtt.msg_id, mqtt.qos, mqtt.payload) == ("temperature", 7, 1, b"22C")
-
-    back = gateway_translate(mqtt, registry)
-    assert isinstance(back, wire.MqttSnMsg)
-    assert (back.topic_id, back.msg_id, back.payload) == (topic_id, 7, b"22C")
-
-
-def test_translate_puback_both_directions():
-    registry = TopicRegistry()
-    registry.get_or_assign("temperature")
-    sn_ack = wire.MqttSnMsg(wire.SN_PUBACK, topic_id=1, msg_id=4, rc=0)
-    mqtt_ack = gateway_translate(sn_ack, registry)
-    assert mqtt_ack.type == wire.MQTT_PUBACK and mqtt_ack.msg_id == 4
-    again = gateway_translate(mqtt_ack, registry)
-    assert again.type == wire.SN_PUBACK and again.msg_id == 4
-
-
-def test_translate_rejects_unknown_topic_and_untranslatable_types():
-    registry = TopicRegistry()
-    with pytest.raises(TranslationError):
-        gateway_translate(wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=42, msg_id=1,
-                                         payload=b"x"), registry)
-    with pytest.raises(TranslationError):
-        gateway_translate(wire.MqttMsg(wire.MQTT_PUBLISH, topic="unknown",
-                                       qos=1, msg_id=1, payload=b"x"), registry)
-    with pytest.raises(TranslationError):
-        gateway_translate(wire.MqttSnMsg(wire.SN_CONNECT, client_id="c"), registry)
+    assert "nope" not in registry.by_name
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +166,7 @@ def test_gateway_register_assigns_topic_id():
     regack = sent(actions)[0]
     assert regack.type == wire.SN_REGACK
     assert regack.topic_id == 1 and regack.msg_id == 2
-    assert state.registry.id_of("temperature") == 1
+    assert state.registry.by_name["temperature"] == 1
 
 
 def test_gateway_publish_reaches_broker_and_acks_in_sn():
@@ -225,26 +183,6 @@ def test_gateway_publish_reaches_broker_and_acks_in_sn():
     assert ack.msg_id == 5 and ack.topic_id == 1
     assert state.broker.received[0][1].topic == "t"
     assert state.broker.received[0][1].payload == b"v"
-
-
-def test_gateway_fans_out_to_mqtt_subscribers_in_sn_form():
-    state = GatewayState()
-    state, _ = gateway_handle(
-        state, wire.MqttSnMsg(wire.SN_CONNECT, client_id="n", duration_s=30), "client")
-    state, _ = gateway_handle(
-        state, wire.MqttSnMsg(wire.SN_REGISTER, msg_id=1, topic="t"), "client")
-    # a broker-side subscriber, as if attached through the stream side
-    state.broker.sessions["watcher"] = "watcher"
-    state.broker.subscriptions["t"] = ["watcher"]
-    publish = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=1, msg_id=5, qos=1,
-                             payload=b"v")
-    state, actions = gateway_handle(state, publish, "client")
-    to_watcher = [a for a in only(actions, SendMsg) if a.dst == "watcher"]
-    assert len(to_watcher) == 1
-    forwarded = to_watcher[0].msg
-    assert isinstance(forwarded, wire.MqttSnMsg)
-    assert forwarded.type == wire.SN_PUBLISH
-    assert forwarded.topic_id == 1 and forwarded.payload == b"v"
 
 
 def test_gateway_drops_unknown_sessions_and_unknown_topics():
