@@ -142,16 +142,28 @@ class ScenarioConfig:
 def _largest_frame(config: ScenarioConfig) -> int:
     """Bytes on air of the largest frame that a client's exchange cannot split.
 
-    A stream cuts data into segments that fit the MTU, so its smallest data
-    segment, one byte, must fit. Datagrams are not fragmented: the largest
-    message either side sends is encoded from the config.
+    The messages a client sends are encoded from the config, which raises
+    ValueError for one that its codec cannot carry or, for HTTP, that does not
+    decode back to itself. A stream cuts data into
+    segments that fit the MTU, so its smallest data segment, one byte, must
+    fit. Datagrams are not fragmented: the largest message either side sends
+    must fit whole.
     """
     over = config.overheads
+    payload = bytes(config.payload_bytes)
+    client_id = max(config.client_names(), key=len)
+    if config.protocol == "mqtt":
+        wire.mqtt_encode(wire.MqttMsg(wire.MQTT_CONNECT, client_id=client_id))
+        wire.mqtt_encode(wire.MqttMsg(wire.MQTT_PUBLISH, topic=config.topic,
+                                      qos=config.qos, payload=payload))
+    elif config.protocol == "http":
+        request = wire.HttpRequest("GET", config.http_path, config.host)
+        if wire.http_decode_request(wire.http_encode(request)) != request:
+            raise ValueError("http_path and host must keep the request line and "
+                             "Host header intact")
     if config.protocol in ("mqtt", "http"):
         return over.link_bytes + over.stream_bytes + 1
-    payload = bytes(config.payload_bytes)
     if config.protocol == "mqtt-sn":
-        client_id = max(config.client_names(), key=len)
         encoded = [wire.sn_encode(wire.MqttSnMsg(wire.SN_CONNECT, client_id=client_id)),
                    wire.sn_encode(wire.MqttSnMsg(wire.SN_REGISTER, topic=config.topic)),
                    wire.sn_encode(wire.MqttSnMsg(wire.SN_PUBLISH, qos=config.qos,
@@ -259,7 +271,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Runtime: binds a pure state machine to a node and executes its actions
+# Runtime: binds a state machine to a node and executes its actions
 
 @dataclass
 class Trace:
@@ -305,8 +317,7 @@ class ProtocolRuntime:
         self.feed(act.Started(self._now_s()))
 
     def feed(self, event) -> None:
-        self.state, actions = self.step(self.state, event)
-        self._execute(actions)
+        self._execute(self.step(self.state, event))
 
     # -- action execution ---------------------------------------------------
 
@@ -417,7 +428,7 @@ def _server_step(handler: Callable) -> Callable:
     def step(state, event):
         if isinstance(event, act.MsgIn):
             return handler(state, event.msg, event.src)
-        return state, []
+        return []
 
     return step
 

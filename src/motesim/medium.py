@@ -106,12 +106,7 @@ class RadioFrame:
     src: str
     dst: str
     length_bytes: int
-    payload: object
-
-
-@dataclass(frozen=True)
-class Datagram:
-    data: bytes
+    payload: object  # a StreamSegment, or the bytes of a datagram
 
 
 @dataclass
@@ -385,8 +380,8 @@ class Node:
         payload = frame.payload
         if isinstance(payload, StreamSegment):
             self.streams.on_segment(frame.src, payload)
-        elif isinstance(payload, Datagram):
-            self.datagrams.on_frame(frame.src, payload.data)
+        elif self.datagrams.on_datagram is not None:
+            self.datagrams.on_datagram(frame.src, payload)
 
     # -- duty cycling ------------------------------------------------------
 
@@ -481,12 +476,7 @@ class DatagramTransport:
     def send(self, dst: str, payload: bytes) -> None:
         over = self.node.medium.overheads
         length = len(payload) + over.datagram_bytes + over.link_bytes
-        frame = RadioFrame(self.node.node_id, dst, length, Datagram(payload))
-        self.node.send_frame(frame)
-
-    def on_frame(self, src: str, data: bytes) -> None:
-        if self.on_datagram is not None:
-            self.on_datagram(src, data)
+        self.node.send_frame(RadioFrame(self.node.node_id, dst, length, payload))
 
 
 class StreamTransport:

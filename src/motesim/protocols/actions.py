@@ -1,7 +1,8 @@
 """Shared vocabulary for protocol state machines.
 
-Machines are pure: step(state, event) -> (state, actions). All timing and I/O
-happens in the runtime that executes the returned actions.
+Machines update their state in place and return what to do:
+step(state, event) -> actions. All timing and I/O happens in the runtime that
+executes the returned actions.
 """
 
 from __future__ import annotations

@@ -57,46 +57,43 @@ def _emit_request(state: CoapClientState) -> list:
     return actions
 
 
-def coap_exchange(state: CoapClientState, event) -> tuple[CoapClientState, list]:
+def coap_exchange(state: CoapClientState, event) -> list:
     cfg = state.config
     if isinstance(event, Started):
-        return state, start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
+        return start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
-            return state, _emit_request(state) + start_grid_timer(
+            return _emit_request(state) + start_grid_timer(
                 "request", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key.startswith("retx:"):
             msg_id = int(event.key.split(":", 1)[1])
             entry = state.exchanges.get(msg_id)
             if entry is None:
-                return state, []
+                return []
             request, count, timeout = entry
             if count >= MAX_RETRANSMIT:
                 del state.exchanges[msg_id]
-                return state, [Notify("exchange-failed", f"msg_id {msg_id}")]
+                return [Notify("exchange-failed", f"msg_id {msg_id}")]
             timeout *= BACKOFF_FACTOR
             state.exchanges[msg_id] = (request, count + 1, timeout)
-            return state, [SendMsg(request, SERVER),
-                           StartTimer(event.key, delay_s=timeout)]
-        return state, []
+            return [SendMsg(request, SERVER),
+                    StartTimer(event.key, delay_s=timeout)]
 
     if isinstance(event, MsgIn):
         msg = event.msg
         if msg.mtype in (COAP_ACK, COAP_NON) and msg.msg_id in state.exchanges:
             del state.exchanges[msg.msg_id]
             state.responses.append(msg)
-            return state, [StopTimer(f"retx:{msg.msg_id}")]
+            return [StopTimer(f"retx:{msg.msg_id}")]
         if msg.mtype == COAP_NON:
             state.responses.append(msg)  # response to a non-confirmable request
-            return state, []
         if msg.mtype == COAP_RST and msg.msg_id in state.exchanges:
             del state.exchanges[msg.msg_id]
-            return state, [StopTimer(f"retx:{msg.msg_id}"),
-                           Notify("exchange-reset", f"msg_id {msg.msg_id}")]
-        return state, []
+            return [StopTimer(f"retx:{msg.msg_id}"),
+                    Notify("exchange-reset", f"msg_id {msg.msg_id}")]
 
-    return state, []
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +106,19 @@ class CoapServerState:
     requests_handled: int = 0
 
 
-def coap_server_handle(state: CoapServerState, msg: CoapMsg, sender: str) -> tuple[CoapServerState, list]:
+def coap_server_handle(state: CoapServerState, msg: CoapMsg, sender: str) -> list:
     if msg.mtype not in (COAP_CON, COAP_NON):
-        return state, []
+        return []
     key = (sender, msg.msg_id)
     if key in state.seen:
         # duplicate request: repeat the cached response, do not re-process
-        return state, [SendMsg(state.seen[key], sender)]
+        return [SendMsg(state.seen[key], sender)]
     reply_type = COAP_ACK if msg.mtype == COAP_CON else COAP_NON
-    if msg.code == "GET":
-        if msg.uri_path in state.resources:
-            response = CoapMsg(reply_type, "2.05", msg.msg_id, msg.token,
-                               payload=state.resources[msg.uri_path])
-        else:
-            response = CoapMsg(reply_type, "4.04", msg.msg_id, msg.token)
-    elif msg.code == "POST":
-        state.resources[msg.uri_path] = msg.payload
-        response = CoapMsg(reply_type, "2.04", msg.msg_id, msg.token)
+    if msg.code == "GET" and msg.uri_path in state.resources:
+        response = CoapMsg(reply_type, "2.05", msg.msg_id, msg.token,
+                           payload=state.resources[msg.uri_path])
     else:
         response = CoapMsg(reply_type, "4.04", msg.msg_id, msg.token)
     state.requests_handled += 1
     state.seen[key] = response
-    return state, [SendMsg(response, sender)]
+    return [SendMsg(response, sender)]

@@ -38,10 +38,10 @@ class HttpClientState:
     requests_sent: int = 0
 
 
-def http_step(state: HttpClientState, event) -> tuple[HttpClientState, list]:
+def http_step(state: HttpClientState, event) -> list:
     cfg = state.config
     if isinstance(event, Started):
-        return state, start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
+        return start_grid_timer("request", event.now_s, cfg.offset_s, cfg.period_s)
 
     if isinstance(event, TimerFired):
         if event.key == "request":
@@ -49,35 +49,32 @@ def http_step(state: HttpClientState, event) -> tuple[HttpClientState, list]:
             if state.phase == "idle":
                 state.phase = "connecting"
                 actions.append(OpenStream(SERVER))
-            return state, actions
+            return actions
         if event.key == "response":
             state.phase = "closing"
-            return state, [Notify("request-failed", "response timeout"),
-                           CloseStream(SERVER)]
-        return state, []
+            return [Notify("request-failed", "response timeout"),
+                    CloseStream(SERVER)]
 
     if isinstance(event, StreamUp):
         state.phase = "awaiting"
         state.requests_sent += 1
         request = HttpRequest("GET", cfg.path, cfg.host)
-        return state, [SendMsg(request, SERVER),
-                       StartTimer("response", delay_s=RESPONSE_TIMEOUT_S)]
+        return [SendMsg(request, SERVER),
+                StartTimer("response", delay_s=RESPONSE_TIMEOUT_S)]
 
     if isinstance(event, MsgIn):
         if isinstance(event.msg, HttpResponse) and state.phase == "awaiting":
             state.responses.append(event.msg)
             state.phase = "closing"
-            return state, [StopTimer("response"), CloseStream(SERVER)]
-        return state, []
+            return [StopTimer("response"), CloseStream(SERVER)]
 
     if isinstance(event, StreamDown):
         state.phase = "idle"
         if event.reason == "failed":
-            return state, [Notify("request-failed", "connection failed"),
-                           StopTimer("response")]
-        return state, []
+            return [Notify("request-failed", "connection failed"),
+                    StopTimer("response")]
 
-    return state, []
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +86,10 @@ class HttpServerState:
     requests_handled: int = 0
 
 
-def http_server_handle(state: HttpServerState, msg: HttpRequest, sender: str) -> tuple[HttpServerState, list]:
+def http_server_handle(state: HttpServerState, msg: HttpRequest, sender: str) -> list:
     state.requests_handled += 1
     if msg.method == "GET" and msg.path in state.resources:
         response = HttpResponse(200, state.resources[msg.path])
     else:
         response = HttpResponse(404)
-    return state, [SendMsg(response, sender)]
+    return [SendMsg(response, sender)]

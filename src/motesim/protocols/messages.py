@@ -6,7 +6,7 @@ layout rules below so cross-protocol size comparisons are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 
@@ -64,8 +64,6 @@ _MQTT_MAX_LENGTH_BYTES = 4
 
 
 def _mqtt_remaining_length(length: int) -> bytes:
-    if length < 0x80:  # the common one-byte form, without the loop
-        return bytes((length,))
     if length >= 1 << (7 * _MQTT_MAX_LENGTH_BYTES):
         raise ValueError(f"MQTT body of {length} bytes exceeds the 4-byte length limit")
     out = bytearray()
@@ -80,8 +78,6 @@ def _mqtt_remaining_length(length: int) -> bytes:
 def _take_mqtt_length(data: bytes) -> Optional[tuple[int, int]]:
     """(remaining length, fixed-header size) of a frame, or None if data ends
     inside the length field."""
-    if len(data) > 1 and data[1] < 0x80:  # the common one-byte form
-        return data[1], 2
     length = 0
     for at in range(1, min(len(data), 1 + _MQTT_MAX_LENGTH_BYTES)):
         length |= (data[at] & 0x7F) << (7 * (at - 1))
@@ -262,12 +258,10 @@ def sn_encode(msg: MqttSnMsg) -> bytes:
         body = bytes([msg.rc])
     elif msg.type == SN_REGISTER:
         body = _u16(msg.topic_id) + _u16(msg.msg_id) + msg.topic.encode("ascii")
-    elif msg.type == SN_REGACK:
-        body = _u16(msg.topic_id) + _u16(msg.msg_id) + bytes([msg.rc])
     elif msg.type == SN_PUBLISH:
         body = bytes([_sn_flags(msg)]) + _u16(msg.topic_id) + _u16(msg.msg_id)
         body += msg.payload
-    else:  # SN_PUBACK
+    else:  # SN_REGACK and SN_PUBACK
         body = _u16(msg.topic_id) + _u16(msg.msg_id) + bytes([msg.rc])
     total = 2 + len(body)
     if total > 255:
@@ -301,11 +295,6 @@ def sn_decode(data: bytes) -> MqttSnMsg:
         return MqttSnMsg(SN_REGISTER, topic_id=int.from_bytes(body[:2], "big"),
                          msg_id=int.from_bytes(body[2:4], "big"),
                          topic=body[4:].decode("ascii"))
-    if mtype == SN_REGACK:
-        if len(body) != 5:
-            raise ParseError("REGACK body must be 5 bytes")
-        return MqttSnMsg(SN_REGACK, topic_id=int.from_bytes(body[:2], "big"),
-                         msg_id=int.from_bytes(body[2:4], "big"), rc=body[4])
     if mtype == SN_PUBLISH:
         if len(body) < 5:
             raise ParseError("truncated PUBLISH")
@@ -313,9 +302,9 @@ def sn_decode(data: bytes) -> MqttSnMsg:
         return MqttSnMsg(SN_PUBLISH, qos=(flags >> 5) & 0x03, dup=bool(flags & 0x80),
                          topic_id=int.from_bytes(body[1:3], "big"),
                          msg_id=int.from_bytes(body[3:5], "big"), payload=body[5:])
-    if len(body) != 5:
-        raise ParseError("PUBACK body must be 5 bytes")
-    return MqttSnMsg(SN_PUBACK, topic_id=int.from_bytes(body[:2], "big"),
+    if len(body) != 5:  # REGACK and PUBACK
+        raise ParseError(f"{mtype} body must be 5 bytes")
+    return MqttSnMsg(mtype, topic_id=int.from_bytes(body[:2], "big"),
                      msg_id=int.from_bytes(body[2:4], "big"), rc=body[4])
 
 
@@ -519,14 +508,11 @@ def http_decode_response(data: bytes) -> HttpResponse:
 
 def http_decode_prefix(buffer: bytes, kind: str) -> Optional[tuple[object, int]]:
     """Decode one request or response from a stream buffer head, or None."""
-    head, sep, rest = bytes(buffer).partition(b"\r\n\r\n")
+    head, sep, _ = bytes(buffer).partition(b"\r\n\r\n")
     if not sep:
         return None
-    content_length = 0
-    for line in head.split(b"\r\n")[1:]:
-        if line.lower().startswith(b"content-length: "):
-            content_length = int(line.split(b": ", 1)[1])
-    total = len(head) + 4 + content_length
+    headers = _http_headers(head.decode("ascii").split("\r\n")[1:])
+    total = len(head) + 4 + int(headers.get("content-length", "0"))
     if len(buffer) < total:
         return None
     data = bytes(buffer[:total])

@@ -66,19 +66,19 @@ def _rearm_ping() -> list:
     return [StartTimer("ping", delay_s=KEEPALIVE_S)]
 
 
-def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, list]:
+def mqtt_client_step(state: MqttClientState, event) -> list:
     cfg = state.config
     if isinstance(event, Started):
         state.phase = "connecting"
-        return state, [OpenStream(SERVER)]
+        return [OpenStream(SERVER)]
 
     if isinstance(event, StreamUp):
         state.phase = "handshaking"
         connect = MqttMsg(MQTT_CONNECT, client_id=cfg.client_id,
                           keepalive_s=int(KEEPALIVE_S))
-        return state, [SendMsg(connect, SERVER),
-                       StartTimer("connack", delay_s=CONNACK_TIMEOUT_S),
-                       *_rearm_ping()]
+        return [SendMsg(connect, SERVER),
+                StartTimer("connack", delay_s=CONNACK_TIMEOUT_S),
+                *_rearm_ping()]
 
     if isinstance(event, StreamDown):
         state.phase = "idle"
@@ -87,7 +87,7 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             actions.append(StopTimer(f"puback:{msg_id}"))
             state.pending.append(msg.payload)
         state.inflight.clear()
-        return state, actions
+        return actions
 
     if isinstance(event, MsgIn):
         msg = event.msg
@@ -99,13 +99,10 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
             actions += start_grid_timer("publish", event.now_s, cfg.offset_s, cfg.period_s)
             if actions[1:]:
                 actions += _rearm_ping()
-            return state, actions
-        if msg.type == MQTT_PUBACK:
-            if msg.msg_id in state.inflight:
-                del state.inflight[msg.msg_id]
-                return state, [StopTimer(f"puback:{msg.msg_id}")]
-            return state, []
-        return state, []
+            return actions
+        if msg.type == MQTT_PUBACK and msg.msg_id in state.inflight:
+            del state.inflight[msg.msg_id]
+            return [StopTimer(f"puback:{msg.msg_id}")]
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
@@ -117,20 +114,19 @@ def mqtt_client_step(state: MqttClientState, event) -> tuple[MqttClientState, li
                 if state.phase == "idle":
                     state.phase = "connecting"
                     actions.append(OpenStream(SERVER))
-                return state, actions
-            return state, _emit_publish(state, payload) + actions + _rearm_ping()
+                return actions
+            return _emit_publish(state, payload) + actions + _rearm_ping()
         if event.key == "connack":
             state.phase = "idle"
-            return state, [Notify("connection-failed", "no CONNACK"),
-                           CloseStream(SERVER)]
+            return [Notify("connection-failed", "no CONNACK"),
+                    CloseStream(SERVER)]
         if event.key == "ping":
             ping = MqttMsg(MQTT_PINGREQ)
-            return state, [SendMsg(ping, SERVER)] + _rearm_ping()
+            return [SendMsg(ping, SERVER)] + _rearm_ping()
         if event.key.startswith("puback:"):
-            return state, retry_publish(state, event.key, PUBACK_TIMEOUT_S, MAX_RETRIES)
-        return state, []
+            return retry_publish(state, event.key, PUBACK_TIMEOUT_S, MAX_RETRIES)
 
-    return state, []
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +139,24 @@ class BrokerState:
     acked_ids: dict[str, int] = field(default_factory=dict)  # dedup per publisher
 
 
-def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> tuple[BrokerState, list]:
+def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> list:
     if msg.type == MQTT_CONNECT:
         state.sessions[sender] = msg.client_id
-        return state, [SendMsg(MqttMsg(MQTT_CONNACK, rc=0), sender)]
+        return [SendMsg(MqttMsg(MQTT_CONNACK, rc=0), sender)]
 
     if sender not in state.sessions:
-        return state, [Notify("dropped", f"unknown session {sender}")]
+        return [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == MQTT_PUBLISH:
         is_dup = msg.qos > 0 and state.acked_ids.get(sender, 0) >= msg.msg_id
         if not is_dup:
             state.received.append((sender, msg))
         if msg.qos == 0:
-            return state, []
+            return []
         state.acked_ids[sender] = max(state.acked_ids.get(sender, 0), msg.msg_id)
-        return state, [SendMsg(MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id), sender)]
+        return [SendMsg(MqttMsg(MQTT_PUBACK, msg_id=msg.msg_id), sender)]
 
     if msg.type == MQTT_PINGREQ:
-        return state, [SendMsg(MqttMsg(MQTT_PINGRESP), sender)]
+        return [SendMsg(MqttMsg(MQTT_PINGRESP), sender)]
 
-    return state, []
+    return []

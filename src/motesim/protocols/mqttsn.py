@@ -37,35 +37,6 @@ from .messages import (
 from .mqtt import BrokerState, broker_handle
 
 
-class TranslationError(KeyError):
-    pass
-
-
-@dataclass
-class TopicRegistry:
-    """Bidirectional topic name <-> 16-bit id map owned by the gateway."""
-
-    by_name: dict[str, int] = field(default_factory=dict)
-    by_id: dict[int, str] = field(default_factory=dict)
-    next_id: int = 1
-
-    def get_or_assign(self, topic: str) -> int:
-        if topic in self.by_name:
-            return self.by_name[topic]
-        topic_id = self.next_id
-        if topic_id > 0xFFFF:
-            raise ValueError("topic id space exhausted")
-        self.next_id += 1
-        self.by_name[topic] = topic_id
-        self.by_id[topic_id] = topic
-        return topic_id
-
-    def name_of(self, topic_id: int) -> str:
-        if topic_id not in self.by_id:
-            raise TranslationError(f"unknown topic id {topic_id}")
-        return self.by_id[topic_id]
-
-
 # ---------------------------------------------------------------------------
 # Client
 
@@ -108,53 +79,48 @@ def _send_register(state: SnClientState) -> list:
             StartTimer("regack", delay_s=ACK_TIMEOUT_S)]
 
 
-def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list]:
+def mqttsn_client_step(state: SnClientState, event) -> list:
     cfg = state.config
     if isinstance(event, Started):
         state.phase = "connecting"
         connect = MqttSnMsg(SN_CONNECT, client_id=cfg.client_id,
                             duration_s=int(KEEPALIVE_S))
-        return state, [SendMsg(connect, SERVER),
-                       StartTimer("connack", delay_s=CONNACK_TIMEOUT_S)]
+        return [SendMsg(connect, SERVER),
+                StartTimer("connack", delay_s=CONNACK_TIMEOUT_S)]
 
     if isinstance(event, MsgIn):
         msg = event.msg
         if msg.type == SN_CONNACK and state.phase == "connecting":
             state.phase = "registering"
-            return state, [StopTimer("connack")] + _send_register(state)
-        if msg.type == SN_REGACK and state.phase == "registering":
-            if msg.msg_id != state.register_msg_id:
-                return state, []
+            return [StopTimer("connack")] + _send_register(state)
+        if (msg.type == SN_REGACK and state.phase == "registering"
+                and msg.msg_id == state.register_msg_id):
             state.phase = "up"
             state.topic_id = msg.topic_id
-            return state, [StopTimer("regack")] + start_grid_timer(
+            return [StopTimer("regack")] + start_grid_timer(
                 "publish", event.now_s, cfg.offset_s, cfg.period_s)
-        if msg.type == SN_PUBACK:
-            if msg.msg_id in state.inflight:
-                del state.inflight[msg.msg_id]
-                return state, [StopTimer(f"puback:{msg.msg_id}")]
-            return state, []
-        return state, []
+        if msg.type == SN_PUBACK and msg.msg_id in state.inflight:
+            del state.inflight[msg.msg_id]
+            return [StopTimer(f"puback:{msg.msg_id}")]
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
             payload = bytes(cfg.payload_bytes)
-            return state, _emit_publish(state, payload) + start_grid_timer(
+            return _emit_publish(state, payload) + start_grid_timer(
                 "publish", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key == "connack":
             state.phase = "idle"
-            return state, [Notify("connection-failed", "no CONNACK")]
+            return [Notify("connection-failed", "no CONNACK")]
         if event.key == "regack":
             if state.register_tries >= MAX_RETRIES:
                 state.phase = "idle"
-                return state, [Notify("register-failed", cfg.topic)]
+                return [Notify("register-failed", cfg.topic)]
             state.register_tries += 1
-            return state, _send_register(state)
+            return _send_register(state)
         if event.key.startswith("puback:"):
-            return state, retry_publish(state, event.key, ACK_TIMEOUT_S, MAX_RETRIES)
-        return state, []
+            return retry_publish(state, event.key, ACK_TIMEOUT_S, MAX_RETRIES)
 
-    return state, []
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -162,34 +128,33 @@ def mqttsn_client_step(state: SnClientState, event) -> tuple[SnClientState, list
 
 @dataclass
 class GatewayState:
-    registry: TopicRegistry = field(default_factory=TopicRegistry)
+    topics: list[str] = field(default_factory=list)  # topic id i names topics[i - 1]
     broker: BrokerState = field(default_factory=BrokerState)
 
 
-def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> tuple[GatewayState, list]:
+def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> list:
     if msg.type == SN_CONNECT:
         state.broker.sessions[sender] = msg.client_id
-        return state, [SendMsg(MqttSnMsg(SN_CONNACK, rc=0), sender)]
+        return [SendMsg(MqttSnMsg(SN_CONNACK, rc=0), sender)]
 
     if sender not in state.broker.sessions:
-        return state, [Notify("dropped", f"unknown session {sender}")]
+        return [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == SN_REGISTER:
-        topic_id = state.registry.get_or_assign(msg.topic)
+        if msg.topic not in state.topics:
+            state.topics.append(msg.topic)
+        topic_id = state.topics.index(msg.topic) + 1
         regack = MqttSnMsg(SN_REGACK, topic_id=topic_id, msg_id=msg.msg_id, rc=0)
-        return state, [SendMsg(regack, sender)]
+        return [SendMsg(regack, sender)]
 
     if msg.type == SN_PUBLISH:
-        try:
-            topic = state.registry.name_of(msg.topic_id)
-        except TranslationError as err:
-            return state, [Notify("translation-error", str(err))]
-        publish = MqttMsg(MQTT_PUBLISH, topic=topic, qos=msg.qos, msg_id=msg.msg_id,
-                          payload=msg.payload, dup=msg.dup)
-        state.broker, acks = broker_handle(state.broker, publish, sender)
-        if not acks:
-            return state, []
+        if not 0 < msg.topic_id <= len(state.topics):
+            return [Notify("translation-error", f"unknown topic id {msg.topic_id}")]
+        publish = MqttMsg(MQTT_PUBLISH, topic=state.topics[msg.topic_id - 1], qos=msg.qos,
+                          msg_id=msg.msg_id, payload=msg.payload, dup=msg.dup)
+        if not broker_handle(state.broker, publish, sender):
+            return []
         puback = MqttSnMsg(SN_PUBACK, topic_id=msg.topic_id, msg_id=msg.msg_id, rc=0)
-        return state, [SendMsg(puback, sender)]
+        return [SendMsg(puback, sender)]
 
-    return state, []
+    return []

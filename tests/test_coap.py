@@ -29,8 +29,8 @@ def sent(actions):
 
 def _first_request(state=None):
     state = state or CoapClientState()
-    state, _ = coap_exchange(state, Started(0.0))
-    state, actions = coap_exchange(state, TimerFired("request", 1.0))
+    coap_exchange(state, Started(0.0))
+    actions = coap_exchange(state, TimerFired("request", 1.0))
     return state, actions
 
 
@@ -38,7 +38,7 @@ def _first_request(state=None):
 # Client
 
 def test_started_schedules_first_request_on_grid():
-    state, actions = coap_exchange(CoapClientState(), Started(0.0))
+    actions = coap_exchange(CoapClientState(), Started(0.0))
     timers = only(actions, StartTimer)
     assert len(timers) == 1
     assert timers[0].key == "request" and timers[0].at_s == 1.0
@@ -64,7 +64,7 @@ def test_ack_response_completes_exchange():
     request = sent(actions)[0]
     response = wire.CoapMsg(wire.COAP_ACK, "2.05", request.msg_id,
                             request.token, payload=b"22")
-    state, actions = coap_exchange(state, MsgIn(response, "server", 1.1))
+    actions = coap_exchange(state, MsgIn(response, "server", 1.1))
     assert state.exchanges == {}
     assert state.responses == [response]
     assert StopTimer("retx:1") in actions
@@ -75,13 +75,13 @@ def test_retransmission_backs_off_exponentially():
     request = sent(actions)[0]
     expected_delays = [4.0, 8.0, 16.0, 32.0]  # doubled from the 2 s base
     for expected in expected_delays:
-        state, actions = coap_exchange(state, TimerFired("retx:1", 0.0))
+        actions = coap_exchange(state, TimerFired("retx:1", 0.0))
         assert sent(actions) == [request]  # identical copy, same msg id
         timer = only(actions, StartTimer)[0]
         assert timer.key == "retx:1"
         assert timer.delay_s == expected
     # budget exhausted
-    state, actions = coap_exchange(state, TimerFired("retx:1", 99.0))
+    actions = coap_exchange(state, TimerFired("retx:1", 99.0))
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "exchange-failed"
     assert state.exchanges == {}
@@ -91,7 +91,7 @@ def test_reset_aborts_exchange():
     state, actions = _first_request()
     request = sent(actions)[0]
     rst = wire.CoapMsg(wire.COAP_RST, "EMPTY", request.msg_id)
-    state, actions = coap_exchange(state, MsgIn(rst, "server", 1.1))
+    actions = coap_exchange(state, MsgIn(rst, "server", 1.1))
     assert state.exchanges == {}
     assert only(actions, Notify)[0].kind == "exchange-reset"
 
@@ -105,14 +105,14 @@ def test_non_confirmable_mode_sends_without_retx_state():
     assert not any(t.key.startswith("retx") for t in only(actions, StartTimer))
     response = wire.CoapMsg(wire.COAP_NON, "2.05", request.msg_id,
                             request.token, payload=b"22")
-    state, _ = coap_exchange(state, MsgIn(response, "server", 1.2))
+    coap_exchange(state, MsgIn(response, "server", 1.2))
     assert state.responses == [response]
 
 
 def test_stray_ack_is_ignored():
     state, _ = _first_request()
     stray = wire.CoapMsg(wire.COAP_ACK, "2.05", 777, payload=b"?")
-    state, actions = coap_exchange(state, MsgIn(stray, "server", 1.5))
+    actions = coap_exchange(state, MsgIn(stray, "server", 1.5))
     assert actions == []
     assert state.responses == []
 
@@ -123,7 +123,7 @@ def test_stray_ack_is_ignored():
 def test_server_answers_get_with_piggybacked_content():
     state = CoapServerState(resources={"temperature": b"21C"})
     request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"tok", "temperature")
-    state, actions = coap_server_handle(state, request, "client")
+    actions = coap_server_handle(state, request, "client")
     response = sent(actions)[0]
     assert response.mtype == wire.COAP_ACK
     assert response.code == "2.05"
@@ -136,32 +136,32 @@ def test_server_answers_get_with_piggybacked_content():
 def test_server_unknown_path_is_404():
     state = CoapServerState()
     request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"", "nope")
-    state, actions = coap_server_handle(state, request, "client")
+    actions = coap_server_handle(state, request, "client")
     assert sent(actions)[0].code == "4.04"
 
 
-def test_server_post_stores_resource():
-    state = CoapServerState()
-    post = wire.CoapMsg(wire.COAP_CON, "POST", 4, b"", "box", payload=b"val")
-    state, actions = coap_server_handle(state, post, "client")
-    assert sent(actions)[0].code == "2.04"
-    assert state.resources == {"box": b"val"}
+def test_server_answers_other_methods_with_404():
+    state = CoapServerState(resources={"temperature": b"21C"})
+    post = wire.CoapMsg(wire.COAP_CON, "POST", 4, b"", "temperature", payload=b"val")
+    actions = coap_server_handle(state, post, "client")
+    assert sent(actions)[0].code == "4.04"
+    assert state.resources == {"temperature": b"21C"}
 
 
 def test_server_repeats_cached_response_for_duplicates():
     state = CoapServerState(resources={"temperature": b"21C"})
     request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"tok", "temperature")
-    state, first = coap_server_handle(state, request, "client")
-    state, second = coap_server_handle(state, request, "client")
+    first = coap_server_handle(state, request, "client")
+    second = coap_server_handle(state, request, "client")
     assert sent(second) == sent(first)
     assert state.requests_handled == 1  # not re-processed
     # the same msg id from a different sender is a fresh exchange
-    state, _ = coap_server_handle(state, request, "other")
+    coap_server_handle(state, request, "other")
     assert state.requests_handled == 2
 
 
 def test_server_mirrors_non_confirmable_type():
     state = CoapServerState(resources={"temperature": b"21C"})
     request = wire.CoapMsg(wire.COAP_NON, "GET", 8, b"t", "temperature")
-    state, actions = coap_server_handle(state, request, "client")
+    actions = coap_server_handle(state, request, "client")
     assert sent(actions)[0].mtype == wire.COAP_NON

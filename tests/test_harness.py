@@ -99,6 +99,11 @@ def test_validate_rejects_bad_values(overrides):
     dict(overheads=Overheads(stream_bytes=-50)),
     dict(cpu_cost=CpuCostModel(ticks_per_message=-100)),  # schedules into the past
     dict(cpu_cost=CpuCostModel(ticks_per_byte=-5)),
+    dict(protocol="mqtt", topic="t" * 65536),  # MQTT strings carry a 16-bit length
+    dict(protocol="mqtt", client_id="c" * 70000),
+    dict(protocol="http", http_path="a b"),  # every request noted a parse-error
+    dict(protocol="http", http_path="/x\r\nY: z"),
+    dict(protocol="http", host="h\r\nX: y"),  # silently injected a header
 ])
 def test_configs_that_would_fail_mid_run_fail_validation(overrides):
     # each of these once passed validate() (or raised something other than a

@@ -34,15 +34,15 @@ def sent(actions):
 # Client
 
 def test_started_schedules_request_grid():
-    state, actions = http_step(HttpClientState(), Started(0.0))
+    actions = http_step(HttpClientState(), Started(0.0))
     timers = only(actions, StartTimer)
     assert timers[0].key == "request" and timers[0].at_s == 1.0
 
 
 def test_request_tick_opens_fresh_connection():
     state = HttpClientState()
-    state, _ = http_step(state, Started(0.0))
-    state, actions = http_step(state, TimerFired("request", 1.0))
+    http_step(state, Started(0.0))
+    actions = http_step(state, TimerFired("request", 1.0))
     assert OpenStream("server") in actions
     assert state.phase == "connecting"
     timers = only(actions, StartTimer)
@@ -51,14 +51,14 @@ def test_request_tick_opens_fresh_connection():
 
 def test_request_tick_while_busy_only_reschedules():
     state = HttpClientState(phase="awaiting")
-    state, actions = http_step(state, TimerFired("request", 6.0))
+    actions = http_step(state, TimerFired("request", 6.0))
     assert only(actions, OpenStream) == []
     assert any(t.key == "request" for t in only(actions, StartTimer))
 
 
 def test_stream_up_sends_get_and_arms_timeout():
     state = HttpClientState(phase="connecting")
-    state, actions = http_step(state, StreamUp("server", 1.1))
+    actions = http_step(state, StreamUp("server", 1.1))
     request = sent(actions)[0]
     assert request == wire.HttpRequest("GET", "/temperature", "server")
     assert any(t.key == "response" for t in only(actions, StartTimer))
@@ -68,27 +68,27 @@ def test_stream_up_sends_get_and_arms_timeout():
 
 def test_response_recorded_then_connection_closed():
     state = HttpClientState(phase="connecting")
-    state, _ = http_step(state, StreamUp("server", 1.1))
+    http_step(state, StreamUp("server", 1.1))
     response = wire.HttpResponse(200, b"21C")
-    state, actions = http_step(state, MsgIn(response, "server", 1.4))
+    actions = http_step(state, MsgIn(response, "server", 1.4))
     assert state.responses == [response]
     assert StopTimer("response") in actions
     assert CloseStream("server") in actions
-    state, actions = http_step(state, StreamDown("server", "closed", 1.6))
+    actions = http_step(state, StreamDown("server", "closed", 1.6))
     assert state.phase == "idle"
     assert actions == []
 
 
 def test_response_timeout_gives_up_and_closes():
     state = HttpClientState(phase="awaiting")
-    state, actions = http_step(state, TimerFired("response", 6.1))
+    actions = http_step(state, TimerFired("response", 6.1))
     assert only(actions, Notify)[0].kind == "request-failed"
     assert CloseStream("server") in actions
 
 
 def test_stream_failure_reported():
     state = HttpClientState(phase="awaiting")
-    state, actions = http_step(state, StreamDown("server", "failed", 3.0))
+    actions = http_step(state, StreamDown("server", "failed", 3.0))
     assert state.phase == "idle"
     assert only(actions, Notify)[0].kind == "request-failed"
     assert StopTimer("response") in actions
@@ -96,7 +96,7 @@ def test_stream_failure_reported():
 
 def test_unexpected_response_ignored():
     state = HttpClientState(phase="idle")
-    state, actions = http_step(state, MsgIn(wire.HttpResponse(200, b""), "server", 9.0))
+    actions = http_step(state, MsgIn(wire.HttpResponse(200, b""), "server", 9.0))
     assert actions == []
     assert state.responses == []
 
@@ -107,7 +107,7 @@ def test_unexpected_response_ignored():
 def test_server_serves_known_path():
     state = HttpServerState(resources={"/temperature": b"21C"})
     request = wire.HttpRequest("GET", "/temperature", "server")
-    state, actions = http_server_handle(state, request, "client")
+    actions = http_server_handle(state, request, "client")
     response = sent(actions)[0]
     assert response.status == 200
     assert response.body == b"21C"
@@ -116,13 +116,13 @@ def test_server_serves_known_path():
 
 def test_server_unknown_path_is_404():
     state = HttpServerState(resources={"/temperature": b"21C"})
-    state, actions = http_server_handle(
+    actions = http_server_handle(
         state, wire.HttpRequest("GET", "/nope", "server"), "client")
     assert sent(actions)[0].status == 404
 
 
 def test_server_rejects_non_get_methods():
     state = HttpServerState(resources={"/temperature": b"21C"})
-    state, actions = http_server_handle(
+    actions = http_server_handle(
         state, wire.HttpRequest("POST", "/temperature", "server", b"x"), "client")
     assert sent(actions)[0].status == 404

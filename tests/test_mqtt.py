@@ -1,4 +1,4 @@
-"""MQTT client and broker machines: pure step functions, inspected by action."""
+"""MQTT client and broker machines, inspected by the actions they return."""
 
 from motesim.protocols import messages as wire
 from motesim.protocols.actions import (
@@ -49,11 +49,11 @@ def test_next_grid_time_lands_on_offset_plus_period_multiples():
 
 def test_client_connects_stream_then_speaks_mqtt():
     state = MqttClientState()
-    state, actions = mqtt_client_step(state, Started(0.0))
+    actions = mqtt_client_step(state, Started(0.0))
     assert actions == [OpenStream("server")]
     assert state.phase == "connecting"
 
-    state, actions = mqtt_client_step(state, StreamUp("server", 0.02))
+    actions = mqtt_client_step(state, StreamUp("server", 0.02))
     connect = sent(actions)[0]
     assert connect.type == wire.MQTT_CONNECT
     assert connect.client_id == "z1-client"
@@ -63,10 +63,10 @@ def test_client_connects_stream_then_speaks_mqtt():
 
 def test_client_schedules_publish_grid_on_connack():
     state = MqttClientState()
-    state, _ = mqtt_client_step(state, Started(0.0))
-    state, _ = mqtt_client_step(state, StreamUp("server", 0.02))
+    mqtt_client_step(state, Started(0.0))
+    mqtt_client_step(state, StreamUp("server", 0.02))
     connack = wire.MqttMsg(wire.MQTT_CONNACK, rc=0)
-    state, actions = mqtt_client_step(state, MsgIn(connack, "server", 0.05))
+    actions = mqtt_client_step(state, MsgIn(connack, "server", 0.05))
     assert state.phase == "up"
     assert StopTimer("connack") in actions
     timers = only(actions, StartTimer)
@@ -75,16 +75,16 @@ def test_client_schedules_publish_grid_on_connack():
 
 def _client_up():
     state = MqttClientState()
-    state, _ = mqtt_client_step(state, Started(0.0))
-    state, _ = mqtt_client_step(state, StreamUp("server", 0.02))
-    state, _ = mqtt_client_step(
+    mqtt_client_step(state, Started(0.0))
+    mqtt_client_step(state, StreamUp("server", 0.02))
+    mqtt_client_step(
         state, MsgIn(wire.MqttMsg(wire.MQTT_CONNACK, rc=0), "server", 0.05))
     return state
 
 
 def test_publish_timer_emits_qos1_publish_and_rearms():
     state = _client_up()
-    state, actions = mqtt_client_step(state, TimerFired("publish", 1.0))
+    actions = mqtt_client_step(state, TimerFired("publish", 1.0))
     publish = sent(actions)[0]
     assert publish.type == wire.MQTT_PUBLISH
     assert publish.qos == 1
@@ -100,17 +100,17 @@ def test_publish_timer_emits_qos1_publish_and_rearms():
 
 def test_puback_clears_inflight():
     state = _client_up()
-    state, _ = mqtt_client_step(state, TimerFired("publish", 1.0))
+    mqtt_client_step(state, TimerFired("publish", 1.0))
     puback = wire.MqttMsg(wire.MQTT_PUBACK, msg_id=1)
-    state, actions = mqtt_client_step(state, MsgIn(puback, "server", 1.1))
+    actions = mqtt_client_step(state, MsgIn(puback, "server", 1.1))
     assert state.inflight == {}
     assert StopTimer("puback:1") in actions
 
 
 def test_puback_timeout_retransmits_with_dup_flag():
     state = _client_up()
-    state, _ = mqtt_client_step(state, TimerFired("publish", 1.0))
-    state, actions = mqtt_client_step(state, TimerFired("puback:1", 2.0))
+    mqtt_client_step(state, TimerFired("publish", 1.0))
+    actions = mqtt_client_step(state, TimerFired("puback:1", 2.0))
     dup = sent(actions)[0]
     assert dup.type == wire.MQTT_PUBLISH
     assert dup.dup is True
@@ -120,11 +120,11 @@ def test_puback_timeout_retransmits_with_dup_flag():
 
 def test_publish_gives_up_after_retry_budget():
     state = _client_up()
-    state, _ = mqtt_client_step(state, TimerFired("publish", 1.0))
+    mqtt_client_step(state, TimerFired("publish", 1.0))
     for _ in range(MAX_RETRIES):
-        state, actions = mqtt_client_step(state, TimerFired("puback:1", 2.0))
+        actions = mqtt_client_step(state, TimerFired("puback:1", 2.0))
         assert sent(actions)  # retransmission each time
-    state, actions = mqtt_client_step(state, TimerFired("puback:1", 9.0))
+    actions = mqtt_client_step(state, TimerFired("puback:1", 9.0))
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "publish-failed"
     assert state.inflight == {}
@@ -132,11 +132,11 @@ def test_publish_gives_up_after_retry_budget():
 
 def test_qos0_publish_needs_no_ack():
     state = MqttClientState(ClientConfig(qos=0))
-    state, _ = mqtt_client_step(state, Started(0.0))
-    state, _ = mqtt_client_step(state, StreamUp("server", 0.02))
-    state, _ = mqtt_client_step(
+    mqtt_client_step(state, Started(0.0))
+    mqtt_client_step(state, StreamUp("server", 0.02))
+    mqtt_client_step(
         state, MsgIn(wire.MqttMsg(wire.MQTT_CONNACK, rc=0), "server", 0.05))
-    state, actions = mqtt_client_step(state, TimerFired("publish", 1.0))
+    actions = mqtt_client_step(state, TimerFired("publish", 1.0))
     publish = sent(actions)[0]
     assert publish.qos == 0 and publish.msg_id == 0
     assert not any(t.key.startswith("puback") for t in only(actions, StartTimer))
@@ -145,20 +145,20 @@ def test_qos0_publish_needs_no_ack():
 
 def test_stream_failure_requeues_inflight_and_reconnects_on_next_tick():
     state = _client_up()
-    state, _ = mqtt_client_step(state, TimerFired("publish", 1.0))
-    state, actions = mqtt_client_step(state, StreamDown("server", "failed", 2.5))
+    mqtt_client_step(state, TimerFired("publish", 1.0))
+    actions = mqtt_client_step(state, StreamDown("server", "failed", 2.5))
     assert state.phase == "idle"
     assert only(actions, Notify)[0].kind == "connection-lost"
     assert StopTimer("puback:1") in actions
     assert list(state.pending) == [bytes(30)]
     # the next publish tick queues its payload and reopens the stream
-    state, actions = mqtt_client_step(state, TimerFired("publish", 6.0))
+    actions = mqtt_client_step(state, TimerFired("publish", 6.0))
     assert OpenStream("server") in actions
     assert sent(actions) == []
     assert len(state.pending) == 2
     # the new session flushes the backlog, oldest first, under fresh ids
-    state, _ = mqtt_client_step(state, StreamUp("server", 6.05))
-    state, actions = mqtt_client_step(
+    mqtt_client_step(state, StreamUp("server", 6.05))
+    actions = mqtt_client_step(
         state, MsgIn(wire.MqttMsg(wire.MQTT_CONNACK, rc=0), "server", 6.1))
     flushed = [m for m in sent(actions) if m.type == wire.MQTT_PUBLISH]
     assert [(m.msg_id, m.payload) for m in flushed] == [(2, bytes(30)), (3, bytes(30))]
@@ -168,9 +168,9 @@ def test_stream_failure_requeues_inflight_and_reconnects_on_next_tick():
 
 def test_connack_timeout_resets_to_idle():
     state = MqttClientState()
-    state, _ = mqtt_client_step(state, Started(0.0))
-    state, _ = mqtt_client_step(state, StreamUp("server", 0.02))
-    state, actions = mqtt_client_step(state, TimerFired("connack", 5.02))
+    mqtt_client_step(state, Started(0.0))
+    mqtt_client_step(state, StreamUp("server", 0.02))
+    actions = mqtt_client_step(state, TimerFired("connack", 5.02))
     assert state.phase == "idle"
     assert only(actions, Notify)[0].kind == "connection-failed"
     assert CloseStream("server") in actions
@@ -178,7 +178,7 @@ def test_connack_timeout_resets_to_idle():
 
 def test_ping_timer_sends_pingreq():
     state = _client_up()
-    state, actions = mqtt_client_step(state, TimerFired("ping", 30.0))
+    actions = mqtt_client_step(state, TimerFired("ping", 30.0))
     assert sent(actions)[0].type == wire.MQTT_PINGREQ
 
 
@@ -188,7 +188,7 @@ def test_ping_timer_sends_pingreq():
 def test_broker_accepts_connect_and_acks():
     state = BrokerState()
     connect = wire.MqttMsg(wire.MQTT_CONNECT, client_id="node-1", keepalive_s=30)
-    state, actions = broker_handle(state, connect, "client")
+    actions = broker_handle(state, connect, "client")
     assert state.sessions == {"client": "node-1"}
     assert sent(actions)[0].type == wire.MQTT_CONNACK
 
@@ -197,7 +197,7 @@ def test_broker_drops_traffic_from_unknown_sessions():
     state = BrokerState()
     publish = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=1, msg_id=1,
                            payload=b"x")
-    state, actions = broker_handle(state, publish, "stranger")
+    actions = broker_handle(state, publish, "stranger")
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "dropped"
 
@@ -206,7 +206,7 @@ def _connected_broker(peers=("client",)):
     state = BrokerState()
     for peer in peers:
         connect = wire.MqttMsg(wire.MQTT_CONNECT, client_id=peer, keepalive_s=30)
-        state, _ = broker_handle(state, connect, peer)
+        broker_handle(state, connect, peer)
     return state
 
 
@@ -214,10 +214,10 @@ def test_broker_deduplicates_retransmitted_publish():
     state = _connected_broker()
     publish = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=1, msg_id=3,
                            payload=b"x")
-    state, _ = broker_handle(state, publish, "client")
+    broker_handle(state, publish, "client")
     dup = wire.MqttMsg(wire.MQTT_PUBLISH, topic="t", qos=1, msg_id=3,
                        payload=b"x", dup=True)
-    state, actions = broker_handle(state, dup, "client")
+    actions = broker_handle(state, dup, "client")
     # re-acked but not re-recorded
     assert sent(actions)[0].type == wire.MQTT_PUBACK
     assert len(state.received) == 1
@@ -225,5 +225,5 @@ def test_broker_deduplicates_retransmitted_publish():
 
 def test_broker_answers_ping():
     state = _connected_broker()
-    state, actions = broker_handle(state, wire.MqttMsg(wire.MQTT_PINGREQ), "client")
+    actions = broker_handle(state, wire.MqttMsg(wire.MQTT_PINGREQ), "client")
     assert sent(actions)[0].type == wire.MQTT_PINGRESP

@@ -1,6 +1,4 @@
-"""MQTT-SN client machine, topic registry, and the gateway."""
-
-import pytest
+"""MQTT-SN client machine and the gateway with its topic ids."""
 
 from motesim.protocols import messages as wire
 from motesim.protocols.actions import (
@@ -16,8 +14,6 @@ from motesim.protocols.mqttsn import (
     MAX_RETRIES,
     GatewayState,
     SnClientState,
-    TopicRegistry,
-    TranslationError,
     gateway_handle,
     mqttsn_client_step,
 )
@@ -32,44 +28,24 @@ def sent(actions):
 
 
 # ---------------------------------------------------------------------------
-# Topic registry
-
-def test_registry_assigns_sequential_ids_idempotently():
-    registry = TopicRegistry()
-    first = registry.get_or_assign("temperature")
-    second = registry.get_or_assign("humidity")
-    assert (first, second) == (1, 2)
-    assert registry.get_or_assign("temperature") == 1
-    assert registry.name_of(1) == "temperature"
-    assert registry.by_name["humidity"] == 2
-
-
-def test_registry_unknown_lookups_raise():
-    registry = TopicRegistry()
-    with pytest.raises(TranslationError):
-        registry.name_of(99)
-    assert "nope" not in registry.by_name
-
-
-# ---------------------------------------------------------------------------
 # Client
 
 def test_client_startup_sequence_connect_register_publish():
     state = SnClientState()
-    state, actions = mqttsn_client_step(state, Started(0.0))
+    actions = mqttsn_client_step(state, Started(0.0))
     connect = sent(actions)[0]
     assert connect.type == wire.SN_CONNECT
     assert connect.client_id == "z1-client"
 
     connack = wire.MqttSnMsg(wire.SN_CONNACK, rc=0)
-    state, actions = mqttsn_client_step(state, MsgIn(connack, "server", 0.05))
+    actions = mqttsn_client_step(state, MsgIn(connack, "server", 0.05))
     register = sent(actions)[0]
     assert register.type == wire.SN_REGISTER
     assert register.topic == "temperature"
     assert state.phase == "registering"
 
     regack = wire.MqttSnMsg(wire.SN_REGACK, topic_id=9, msg_id=register.msg_id, rc=0)
-    state, actions = mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
+    actions = mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
     assert state.phase == "up"
     assert state.topic_id == 9
     timers = only(actions, StartTimer)
@@ -78,29 +54,29 @@ def test_client_startup_sequence_connect_register_publish():
 
 def _client_up(topic_id=9):
     state = SnClientState()
-    state, _ = mqttsn_client_step(state, Started(0.0))
-    state, _ = mqttsn_client_step(
+    mqttsn_client_step(state, Started(0.0))
+    mqttsn_client_step(
         state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
     regack = wire.MqttSnMsg(wire.SN_REGACK, topic_id=topic_id,
                             msg_id=state.register_msg_id, rc=0)
-    state, _ = mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
+    mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
     return state
 
 
 def test_regack_with_wrong_msg_id_is_ignored():
     state = SnClientState()
-    state, _ = mqttsn_client_step(state, Started(0.0))
-    state, _ = mqttsn_client_step(
+    mqttsn_client_step(state, Started(0.0))
+    mqttsn_client_step(
         state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
     bogus = wire.MqttSnMsg(wire.SN_REGACK, topic_id=9, msg_id=999, rc=0)
-    state, actions = mqttsn_client_step(state, MsgIn(bogus, "server", 0.06))
+    actions = mqttsn_client_step(state, MsgIn(bogus, "server", 0.06))
     assert state.phase == "registering"
     assert actions == []
 
 
 def test_publish_uses_registered_topic_id():
     state = _client_up(topic_id=9)
-    state, actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
+    actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
     publish = sent(actions)[0]
     assert publish.type == wire.SN_PUBLISH
     assert publish.topic_id == 9
@@ -111,37 +87,37 @@ def test_publish_uses_registered_topic_id():
 
 def test_puback_timeout_retransmits_then_gives_up():
     state = _client_up()
-    state, actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
+    actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
     msg_id = sent(actions)[0].msg_id
     key = f"puback:{msg_id}"
     for _ in range(MAX_RETRIES):
-        state, actions = mqttsn_client_step(state, TimerFired(key, 2.0))
+        actions = mqttsn_client_step(state, TimerFired(key, 2.0))
         dup = sent(actions)[0]
         assert dup.dup is True and dup.msg_id == msg_id
-    state, actions = mqttsn_client_step(state, TimerFired(key, 9.0))
+    actions = mqttsn_client_step(state, TimerFired(key, 9.0))
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "publish-failed"
 
 
 def test_puback_clears_inflight():
     state = _client_up()
-    state, actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
+    actions = mqttsn_client_step(state, TimerFired("publish", 1.0))
     msg_id = sent(actions)[0].msg_id
     ack = wire.MqttSnMsg(wire.SN_PUBACK, topic_id=9, msg_id=msg_id, rc=0)
-    state, actions = mqttsn_client_step(state, MsgIn(ack, "server", 1.2))
+    actions = mqttsn_client_step(state, MsgIn(ack, "server", 1.2))
     assert state.inflight == {}
     assert StopTimer(f"puback:{msg_id}") in actions
 
 
 def test_register_timeout_retries_then_fails():
     state = SnClientState()
-    state, _ = mqttsn_client_step(state, Started(0.0))
-    state, _ = mqttsn_client_step(
+    mqttsn_client_step(state, Started(0.0))
+    mqttsn_client_step(
         state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
     for _ in range(MAX_RETRIES):
-        state, actions = mqttsn_client_step(state, TimerFired("regack", 1.0))
+        actions = mqttsn_client_step(state, TimerFired("regack", 1.0))
         assert sent(actions)[0].type == wire.SN_REGISTER
-    state, actions = mqttsn_client_step(state, TimerFired("regack", 9.0))
+    actions = mqttsn_client_step(state, TimerFired("regack", 9.0))
     assert only(actions, Notify)[0].kind == "register-failed"
     assert state.phase == "idle"
 
@@ -152,32 +128,62 @@ def test_register_timeout_retries_then_fails():
 def test_gateway_connect_creates_sessions_both_sides():
     state = GatewayState()
     connect = wire.MqttSnMsg(wire.SN_CONNECT, client_id="node-1", duration_s=30)
-    state, actions = gateway_handle(state, connect, "client")
+    actions = gateway_handle(state, connect, "client")
     assert sent(actions)[0].type == wire.SN_CONNACK
     assert state.broker.sessions == {"client": "node-1"}
 
 
 def test_gateway_register_assigns_topic_id():
     state = GatewayState()
-    state, _ = gateway_handle(
+    gateway_handle(
         state, wire.MqttSnMsg(wire.SN_CONNECT, client_id="n", duration_s=30), "client")
     register = wire.MqttSnMsg(wire.SN_REGISTER, msg_id=2, topic="temperature")
-    state, actions = gateway_handle(state, register, "client")
+    actions = gateway_handle(state, register, "client")
     regack = sent(actions)[0]
     assert regack.type == wire.SN_REGACK
     assert regack.topic_id == 1 and regack.msg_id == 2
-    assert state.registry.by_name["temperature"] == 1
+    assert state.topics == ["temperature"]
+
+
+def _connected_gateway():
+    state = GatewayState()
+    gateway_handle(
+        state, wire.MqttSnMsg(wire.SN_CONNECT, client_id="n", duration_s=30), "client")
+    return state
+
+
+def _register(state, topic, msg_id):
+    register = wire.MqttSnMsg(wire.SN_REGISTER, msg_id=msg_id, topic=topic)
+    return sent(gateway_handle(state, register, "client"))[0].topic_id
+
+
+def test_gateway_numbers_topics_in_registration_order():
+    state = _connected_gateway()
+    assert _register(state, "temperature", 1) == 1
+    assert _register(state, "humidity", 2) == 2
+    assert _register(state, "temperature", 3) == 1  # a repeated REGISTER keeps its id
+    assert state.topics == ["temperature", "humidity"]
+
+
+def test_gateway_notes_translation_error_for_unregistered_ids():
+    state = _connected_gateway()
+    _register(state, "temperature", 1)
+    for topic_id in (0, 2):
+        publish = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=topic_id, msg_id=5, payload=b"v")
+        assert gateway_handle(state, publish, "client") == [
+            Notify("translation-error", f"unknown topic id {topic_id}")]
+    assert state.broker.received == []
 
 
 def test_gateway_publish_reaches_broker_and_acks_in_sn():
     state = GatewayState()
-    state, _ = gateway_handle(
+    gateway_handle(
         state, wire.MqttSnMsg(wire.SN_CONNECT, client_id="n", duration_s=30), "client")
-    state, _ = gateway_handle(
+    gateway_handle(
         state, wire.MqttSnMsg(wire.SN_REGISTER, msg_id=1, topic="t"), "client")
     publish = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=1, msg_id=5, qos=1,
                              payload=b"v")
-    state, actions = gateway_handle(state, publish, "client")
+    actions = gateway_handle(state, publish, "client")
     ack = sent(actions)[0]
     assert ack.type == wire.SN_PUBACK
     assert ack.msg_id == 5 and ack.topic_id == 1
@@ -188,12 +194,12 @@ def test_gateway_publish_reaches_broker_and_acks_in_sn():
 def test_gateway_drops_unknown_sessions_and_unknown_topics():
     state = GatewayState()
     publish = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=1, msg_id=5, payload=b"v")
-    state, actions = gateway_handle(state, publish, "stranger")
+    actions = gateway_handle(state, publish, "stranger")
     assert only(actions, Notify)[0].kind == "dropped"
 
-    state, _ = gateway_handle(
+    gateway_handle(
         state, wire.MqttSnMsg(wire.SN_CONNECT, client_id="n", duration_s=30), "client")
     bad = wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=77, msg_id=6, payload=b"v")
-    state, actions = gateway_handle(state, bad, "client")
+    actions = gateway_handle(state, bad, "client")
     assert only(actions, Notify)[0].kind == "translation-error"
     assert state.broker.received == []

@@ -1,0 +1,44 @@
+"""Property: a config either fails validation or runs to the end with sound books.
+
+Every config that ScenarioConfig.validate() accepts must run to the end, with
+cpu + lpm ticks equal to the interval on every node and in every interval, and
+no message that its receiver cannot parse. Every other config must fail with a
+ScenarioError before the run starts.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motesim.engine import seconds_to_ticks
+from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
+from motesim.medium import DutyCycleConfig
+
+# Characters that split an HTTP request line or header, or an ini value.
+TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
+
+CONFIGS = st.builds(
+    ScenarioConfig,
+    protocol=st.sampled_from(PROTOCOLS),
+    duration_s=st.just(20.0),
+    clients=st.integers(1, 4),
+    payload_bytes=st.integers(0, 300),
+    tx_success=st.sampled_from((1.0, 0.7)),
+    duty=st.sampled_from((DutyCycleConfig(), DutyCycleConfig(enabled=False))),
+    topic=TEXT,
+    http_path=TEXT,
+    host=TEXT,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(CONFIGS)
+def test_accepted_configs_run_to_the_end_with_sound_books(config):
+    try:
+        config.validate()
+    except ScenarioError:
+        return
+    sim = simulate(config)
+    interval_ticks = seconds_to_ticks(config.interval_s)
+    for trace in sim.traces.values():
+        assert [row.cpu_delta + row.lpm_delta for row in trace.rows] == [interval_ticks] * 2
+    assert "parse-error" not in [kind for _, _, kind, _ in sim.events]
