@@ -1,7 +1,16 @@
 """Wire message types and codecs for the four application protocols.
 
-Each codec is byte-exact: decode(encode(m)) == m, and encoded sizes follow the
-layout rules below so cross-protocol size comparisons are meaningful.
+MQTT and MQTT-SN messages are described once, in a table per protocol: each
+message type maps to its type code and a body layout of (field, kind) pairs,
+which _pack writes and _unpack reads (the kinds are listed above _pack). A
+fixed value, such as MQTT's protocol name and level or MQTT-SN's protocol id,
+is a layout entry too: encode writes it and decode requires it.
+
+The MQTT, MQTT-SN and CoAP decoders exactly invert their encoders: decode(b)
+either raises ParseError or returns a message whose encoding is b. HTTP
+decodes the minimal header set its encoder writes (Host and Content-Length).
+Every malformed input raises ParseError. Encoded sizes follow the layout rules
+below so cross-protocol size comparisons are meaningful.
 """
 
 from __future__ import annotations
@@ -12,6 +21,83 @@ from typing import Optional, Union
 
 class ParseError(ValueError):
     pass
+
+
+def _u16(value: int) -> bytes:
+    if not 0 <= value <= 0xFFFF:
+        raise ValueError(f"value {value} does not fit in 16 bits")
+    return value.to_bytes(2, "big")
+
+
+def _ascii(raw: bytes) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError(f"non-ASCII text {raw!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Body layouts: (field, kind) pairs, packed in order. The kinds are
+#   "u8", "u16"  a big-endian unsigned integer;
+#   "str"        an MQTT string: 16-bit length, then ASCII;
+#   "flags"      the MQTT-SN flags byte (MQTT-SN 1.2 section 5.3.4): the
+#                message's dup in bit 7 and qos in bits 6-5, every other bit 0;
+#   "text"       ASCII to the end of the frame;
+#   "bytes"      raw bytes to the end of the frame;
+#   b"..."       a fixed value, with field None.
+# "text" and "bytes" take the rest of the frame, so they come last.
+
+
+def _pack(layout: tuple, msg) -> bytes:
+    out = bytearray()
+    for field, kind in layout:
+        if isinstance(kind, bytes):
+            out += kind
+        elif kind == "flags":
+            out.append((int(msg.dup) << 7) | ((msg.qos & 0x03) << 5))
+        else:
+            value = getattr(msg, field)
+            if kind == "u8":
+                out.append(value)
+            elif kind == "u16":
+                out += _u16(value)
+            elif kind == "bytes":
+                out += value
+            else:
+                raw = value.encode("ascii")
+                out += _u16(len(raw)) + raw if kind == "str" else raw
+    return bytes(out)
+
+
+def _unpack(layout: tuple, data: bytes, at: int, fields: dict) -> dict:
+    """Read a body laid out as layout from data[at:] into fields; the inverse
+    of _pack, so every byte must be accounted for."""
+    for field, kind in layout:
+        if kind == "str":
+            at += 2
+            end = at + int.from_bytes(data[at - 2 : at], "big")
+        elif kind == "text" or kind == "bytes":
+            end = len(data)
+        else:
+            end = at + (len(kind) if isinstance(kind, bytes) else 2 if kind == "u16" else 1)
+        if end > len(data):
+            raise ParseError(f"frame ends inside {field or kind!r}")
+        raw = data[at:end]
+        at = end
+        if isinstance(kind, bytes):
+            if raw != kind:
+                raise ParseError(f"expected {kind!r}, got {raw!r}")
+        elif kind == "flags":
+            if raw[0] & 0x1F:
+                raise ParseError(f"unsupported flag bits in {raw[0]:#04x}")
+            fields.update(dup=bool(raw[0] & 0x80), qos=(raw[0] >> 5) & 0x03)
+        elif kind == "u8" or kind == "u16":
+            fields[field] = int.from_bytes(raw, "big")
+        else:
+            fields[field] = raw if kind == "bytes" else _ascii(raw)
+    if at != len(data):
+        raise ParseError(f"{len(data) - at} trailing bytes")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -26,17 +112,23 @@ MQTT_SUBACK = "SUBACK"
 MQTT_PINGREQ = "PINGREQ"
 MQTT_PINGRESP = "PINGRESP"
 
-_MQTT_TYPE_CODES = {
-    MQTT_CONNECT: 1,
-    MQTT_CONNACK: 2,
-    MQTT_PUBLISH: 3,
-    MQTT_PUBACK: 4,
-    MQTT_SUBSCRIBE: 8,
-    MQTT_SUBACK: 9,
-    MQTT_PINGREQ: 12,
-    MQTT_PINGRESP: 13,
+# type: (type code, fixed-header flags, body layout). CONNECT carries protocol
+# name "MQTT", level 4 and connect flags 0x02 (clean session); CONNACK's first
+# byte is session present = 0 (MQTT 3.1.1 sections 3.1 and 3.2). PUBLISH takes
+# its flags from dup and qos, RETAIN clear, and has a msg_id only above QoS 0.
+_MQTT_TABLE = {
+    MQTT_CONNECT: (1, 0, ((None, b"\x00\x04MQTT\x04\x02"), ("keepalive_s", "u16"),
+                          ("client_id", "str"))),
+    MQTT_CONNACK: (2, 0, ((None, b"\x00"), ("rc", "u8"))),
+    MQTT_PUBLISH: (3, 0, (("topic", "str"), ("msg_id", "u16"), ("payload", "bytes"))),
+    MQTT_PUBACK: (4, 0, (("msg_id", "u16"),)),
+    MQTT_SUBSCRIBE: (8, 2, (("msg_id", "u16"), ("topic", "str"), ("qos", "u8"))),
+    MQTT_SUBACK: (9, 0, (("msg_id", "u16"), ("rc", "u8"))),
+    MQTT_PINGREQ: (12, 0, ()),
+    MQTT_PINGRESP: (13, 0, ()),
 }
-_MQTT_CODE_TYPES = {v: k for k, v in _MQTT_TYPE_CODES.items()}
+_MQTT_CODE_TYPES = {code: mtype for mtype, (code, _, _) in _MQTT_TABLE.items()}
+_MQTT_PUBLISH_QOS0 = (("topic", "str"), ("payload", "bytes"))
 
 
 @dataclass(frozen=True)
@@ -50,12 +142,6 @@ class MqttMsg:
     client_id: str = ""
     keepalive_s: int = 0
     rc: int = 0
-
-
-def _u16(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFF:
-        raise ValueError(f"value {value} does not fit in 16 bits")
-    return value.to_bytes(2, "big")
 
 
 # Remaining length (MQTT 3.1.1 section 2.2.3): 7 bits per byte, least
@@ -82,115 +168,46 @@ def _take_mqtt_length(data: bytes) -> Optional[tuple[int, int]]:
     for at in range(1, min(len(data), 1 + _MQTT_MAX_LENGTH_BYTES)):
         length |= (data[at] & 0x7F) << (7 * (at - 1))
         if not data[at] & 0x80:
+            if at > 1 and not data[at]:
+                raise ParseError("remaining length not in its shortest form")
             return length, at + 1
     if len(data) > _MQTT_MAX_LENGTH_BYTES:
         raise ParseError("remaining length longer than 4 bytes")
     return None
 
 
-def _mqtt_string(text: str) -> bytes:
-    raw = text.encode("ascii")
-    return _u16(len(raw)) + raw
-
-
 def mqtt_encode(msg: MqttMsg) -> bytes:
-    if msg.type not in _MQTT_TYPE_CODES:
+    if msg.type not in _MQTT_TABLE:
         raise ValueError(f"unknown MQTT type: {msg.type!r}")
-    flags = 0
+    code, flags, layout = _MQTT_TABLE[msg.type]
     if msg.type == MQTT_PUBLISH:
         flags = (int(msg.dup) << 3) | (msg.qos << 1)
-    elif msg.type == MQTT_SUBSCRIBE:
-        flags = 0x02
-    body = b""
-    if msg.type == MQTT_CONNECT:
-        body = _mqtt_string("MQTT") + bytes([4, 0x02]) + _u16(msg.keepalive_s)
-        body += _mqtt_string(msg.client_id)
-    elif msg.type == MQTT_CONNACK:
-        body = bytes([0, msg.rc])
-    elif msg.type == MQTT_PUBLISH:
-        body = _mqtt_string(msg.topic)
-        if msg.qos > 0:
-            body += _u16(msg.msg_id)
-        body += msg.payload
-    elif msg.type == MQTT_PUBACK:
-        body = _u16(msg.msg_id)
-    elif msg.type == MQTT_SUBSCRIBE:
-        body = _u16(msg.msg_id) + _mqtt_string(msg.topic) + bytes([msg.qos])
-    elif msg.type == MQTT_SUBACK:
-        body = _u16(msg.msg_id) + bytes([msg.rc])
-    header = bytes([(_MQTT_TYPE_CODES[msg.type] << 4) | flags])
-    return header + _mqtt_remaining_length(len(body)) + body
-
-
-def _take_mqtt_string(data: bytes, at: int) -> tuple[str, int]:
-    if at + 2 > len(data):
-        raise ParseError("truncated string length")
-    length = int.from_bytes(data[at : at + 2], "big")
-    end = at + 2 + length
-    if end > len(data):
-        raise ParseError("truncated string body")
-    return data[at + 2 : end].decode("ascii"), end
+        layout = layout if msg.qos else _MQTT_PUBLISH_QOS0
+    body = _pack(layout, msg)
+    return bytes([(code << 4) | flags]) + _mqtt_remaining_length(len(body)) + body
 
 
 def mqtt_decode(data: bytes) -> MqttMsg:
     if len(data) < 2:
         raise ParseError("MQTT frame shorter than fixed header")
-    type_code = data[0] >> 4
-    flags = data[0] & 0x0F
-    if type_code not in _MQTT_CODE_TYPES:
-        raise ParseError(f"unknown MQTT type code {type_code}")
-    mtype = _MQTT_CODE_TYPES[type_code]
+    mtype = _MQTT_CODE_TYPES.get(data[0] >> 4)
+    if mtype is None:
+        raise ParseError(f"unknown MQTT type code {data[0] >> 4}")
     length = _take_mqtt_length(data)
     if length is None:
         raise ParseError("truncated remaining length")
     remaining, header = length
     if remaining != len(data) - header:
         raise ParseError("remaining-length mismatch")
-    body = data[header:]
-    if mtype == MQTT_CONNECT:
-        name, at = _take_mqtt_string(body, 0)
-        if name != "MQTT" or at + 4 > len(body):
-            raise ParseError("malformed CONNECT header")
-        keepalive = int.from_bytes(body[at + 2 : at + 4], "big")
-        client_id, end = _take_mqtt_string(body, at + 4)
-        if end != len(body):
-            raise ParseError("trailing bytes after CONNECT")
-        return MqttMsg(MQTT_CONNECT, client_id=client_id, keepalive_s=keepalive)
-    if mtype == MQTT_CONNACK:
-        if len(body) != 2:
-            raise ParseError("CONNACK body must be 2 bytes")
-        return MqttMsg(MQTT_CONNACK, rc=body[1])
+    _, flags, layout = _MQTT_TABLE[mtype]
+    fields = {}
     if mtype == MQTT_PUBLISH:
-        qos = (flags >> 1) & 0x03
-        dup = bool(flags & 0x08)
-        topic, at = _take_mqtt_string(body, 0)
-        msg_id = 0
-        if qos > 0:
-            if at + 2 > len(body):
-                raise ParseError("truncated PUBLISH msg_id")
-            msg_id = int.from_bytes(body[at : at + 2], "big")
-            at += 2
-        return MqttMsg(MQTT_PUBLISH, topic=topic, qos=qos, msg_id=msg_id,
-                       payload=body[at:], dup=dup)
-    if mtype == MQTT_PUBACK:
-        if len(body) != 2:
-            raise ParseError("PUBACK body must be 2 bytes")
-        return MqttMsg(MQTT_PUBACK, msg_id=int.from_bytes(body, "big"))
-    if mtype == MQTT_SUBSCRIBE:
-        if len(body) < 2:
-            raise ParseError("truncated SUBSCRIBE")
-        msg_id = int.from_bytes(body[:2], "big")
-        topic, at = _take_mqtt_string(body, 2)
-        if at + 1 != len(body):
-            raise ParseError("malformed SUBSCRIBE tail")
-        return MqttMsg(MQTT_SUBSCRIBE, topic=topic, qos=body[at], msg_id=msg_id)
-    if mtype == MQTT_SUBACK:
-        if len(body) != 3:
-            raise ParseError("SUBACK body must be 3 bytes")
-        return MqttMsg(MQTT_SUBACK, msg_id=int.from_bytes(body[:2], "big"), rc=body[2])
-    if body:
-        raise ParseError(f"{mtype} carries no body")
-    return MqttMsg(mtype)
+        fields = {"dup": bool(data[0] & 0x08), "qos": (data[0] >> 1) & 0x03}
+        flags = data[0] & 0x0E
+        layout = layout if fields["qos"] else _MQTT_PUBLISH_QOS0
+    if data[0] & 0x0F != flags:
+        raise ParseError(f"unsupported {mtype} fixed-header flags {data[0] & 0x0F:#x}")
+    return MqttMsg(mtype, **_unpack(layout, data, header, fields))
 
 
 def mqtt_decode_prefix(buffer: bytes) -> Optional[tuple[MqttMsg, int]]:
@@ -215,15 +232,19 @@ SN_REGACK = "REGACK"
 SN_PUBLISH = "PUBLISH"
 SN_PUBACK = "PUBACK"
 
-_SN_TYPE_CODES = {
-    SN_CONNECT: 0x04,
-    SN_CONNACK: 0x05,
-    SN_REGISTER: 0x0A,
-    SN_REGACK: 0x0B,
-    SN_PUBLISH: 0x0C,
-    SN_PUBACK: 0x0D,
+# type: (type code, body layout). CONNECT carries protocol id 0x01 (MQTT-SN
+# 1.2 section 5.3.3).
+_SN_TABLE = {
+    SN_CONNECT: (0x04, ((None, "flags"), (None, b"\x01"), ("duration_s", "u16"),
+                        ("client_id", "text"))),
+    SN_CONNACK: (0x05, (("rc", "u8"),)),
+    SN_REGISTER: (0x0A, (("topic_id", "u16"), ("msg_id", "u16"), ("topic", "text"))),
+    SN_REGACK: (0x0B, (("topic_id", "u16"), ("msg_id", "u16"), ("rc", "u8"))),
+    SN_PUBLISH: (0x0C, ((None, "flags"), ("topic_id", "u16"), ("msg_id", "u16"),
+                        ("payload", "bytes"))),
+    SN_PUBACK: (0x0D, (("topic_id", "u16"), ("msg_id", "u16"), ("rc", "u8"))),
 }
-_SN_CODE_TYPES = {v: k for k, v in _SN_TYPE_CODES.items()}
+_SN_CODE_TYPES = {code: mtype for mtype, (code, _) in _SN_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -244,29 +265,15 @@ class MqttSnMsg:
             raise ValueError("topic_id must fit in 16 bits")
 
 
-def _sn_flags(msg: MqttSnMsg) -> int:
-    return (int(msg.dup) << 7) | ((msg.qos & 0x03) << 5)
-
-
 def sn_encode(msg: MqttSnMsg) -> bytes:
-    if msg.type not in _SN_TYPE_CODES:
+    if msg.type not in _SN_TABLE:
         raise ValueError(f"unknown MQTT-SN type: {msg.type!r}")
-    if msg.type == SN_CONNECT:
-        body = bytes([_sn_flags(msg), 0x01]) + _u16(msg.duration_s)
-        body += msg.client_id.encode("ascii")
-    elif msg.type == SN_CONNACK:
-        body = bytes([msg.rc])
-    elif msg.type == SN_REGISTER:
-        body = _u16(msg.topic_id) + _u16(msg.msg_id) + msg.topic.encode("ascii")
-    elif msg.type == SN_PUBLISH:
-        body = bytes([_sn_flags(msg)]) + _u16(msg.topic_id) + _u16(msg.msg_id)
-        body += msg.payload
-    else:  # SN_REGACK and SN_PUBACK
-        body = _u16(msg.topic_id) + _u16(msg.msg_id) + bytes([msg.rc])
+    code, layout = _SN_TABLE[msg.type]
+    body = _pack(layout, msg)
     total = 2 + len(body)
     if total > 255:
         raise ValueError(f"MQTT-SN message of {total} bytes exceeds 1-byte length")
-    return bytes([total, _SN_TYPE_CODES[msg.type]]) + body
+    return bytes([total, code]) + body
 
 
 def sn_decode(data: bytes) -> MqttSnMsg:
@@ -274,38 +281,10 @@ def sn_decode(data: bytes) -> MqttSnMsg:
         raise ParseError("MQTT-SN frame shorter than its header")
     if data[0] != len(data):
         raise ParseError("length byte mismatch")
-    if data[1] not in _SN_CODE_TYPES:
+    mtype = _SN_CODE_TYPES.get(data[1])
+    if mtype is None:
         raise ParseError(f"unknown MQTT-SN type code {data[1]}")
-    mtype = _SN_CODE_TYPES[data[1]]
-    body = data[2:]
-    if mtype == SN_CONNECT:
-        if len(body) < 4:
-            raise ParseError("truncated CONNECT")
-        flags = body[0]
-        return MqttSnMsg(SN_CONNECT, qos=(flags >> 5) & 0x03, dup=bool(flags & 0x80),
-                         duration_s=int.from_bytes(body[2:4], "big"),
-                         client_id=body[4:].decode("ascii"))
-    if mtype == SN_CONNACK:
-        if len(body) != 1:
-            raise ParseError("CONNACK body must be 1 byte")
-        return MqttSnMsg(SN_CONNACK, rc=body[0])
-    if mtype == SN_REGISTER:
-        if len(body) < 4:
-            raise ParseError("truncated REGISTER")
-        return MqttSnMsg(SN_REGISTER, topic_id=int.from_bytes(body[:2], "big"),
-                         msg_id=int.from_bytes(body[2:4], "big"),
-                         topic=body[4:].decode("ascii"))
-    if mtype == SN_PUBLISH:
-        if len(body) < 5:
-            raise ParseError("truncated PUBLISH")
-        flags = body[0]
-        return MqttSnMsg(SN_PUBLISH, qos=(flags >> 5) & 0x03, dup=bool(flags & 0x80),
-                         topic_id=int.from_bytes(body[1:3], "big"),
-                         msg_id=int.from_bytes(body[3:5], "big"), payload=body[5:])
-    if len(body) != 5:  # REGACK and PUBACK
-        raise ParseError(f"{mtype} body must be 5 bytes")
-    return MqttSnMsg(mtype, topic_id=int.from_bytes(body[:2], "big"),
-                     msg_id=int.from_bytes(body[2:4], "big"), rc=body[4])
+    return MqttSnMsg(mtype, **_unpack(_SN_TABLE[mtype][1], data, 2, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +309,10 @@ _COAP_METHOD_CODES = {
 _COAP_CODE_METHODS = {v: k for k, v in _COAP_METHOD_CODES.items()}
 
 _URI_PATH_OPTION = 11
-# Option length (RFC 7252 section 3.1): a nibble of 0-12 is the length; 13
-# adds one byte holding length - 13, 14 adds two holding length - 269.
-_MAX_OPTION_LENGTH = 269 + 0xFFFF
-
-
-def _coap_option_header(delta: int, length: int) -> bytes:
-    if length < 13:
-        return bytes([(delta << 4) | length])
-    if length < 269:
-        return bytes([(delta << 4) | 13, length - 13])
-    return bytes([(delta << 4) | 14]) + _u16(length - 269)
+# A Uri-Path option holds 1-255 bytes (RFC 7252 section 5.10). Its length
+# (section 3.1) is the header's low nibble up to 12; nibble 13 adds one byte
+# holding length - 13.
+_MAX_URI_PATH = 255
 
 
 @dataclass(frozen=True)
@@ -355,8 +327,8 @@ class CoapMsg:
     def __post_init__(self):
         if len(self.token) > 8:
             raise ValueError("token longer than 8 bytes")
-        if len(self.uri_path) > _MAX_OPTION_LENGTH:
-            raise ValueError(f"uri_path longer than {_MAX_OPTION_LENGTH} bytes")
+        if len(self.uri_path) > _MAX_URI_PATH:
+            raise ValueError(f"uri_path longer than {_MAX_URI_PATH} bytes")
 
 
 def coap_encode(msg: CoapMsg) -> bytes:
@@ -371,7 +343,10 @@ def coap_encode(msg: CoapMsg) -> bytes:
     out += msg.token
     if msg.uri_path:
         path = msg.uri_path.encode("ascii")
-        out += _coap_option_header(_URI_PATH_OPTION, len(path))
+        if len(path) < 13:
+            out.append((_URI_PATH_OPTION << 4) | len(path))
+        else:
+            out += bytes([(_URI_PATH_OPTION << 4) | 13, len(path) - 13])
         out += path
     if msg.payload:
         out.append(0xFF)
@@ -404,18 +379,19 @@ def coap_decode(data: bytes) -> CoapMsg:
         if delta != _URI_PATH_OPTION:
             raise ParseError(f"unsupported option delta {delta}")
         at += 1
-        if length == 15:
-            raise ParseError("reserved option length nibble 15")
-        if length >= 13:
-            size = length - 12  # extended length bytes
-            if at + size > len(data):
+        if length > 13:
+            raise ParseError(f"unsupported option length nibble {length}")
+        if length == 13:
+            if at >= len(data):
                 raise ParseError("truncated option length")
-            length = int.from_bytes(data[at : at + size], "big") + (13 if size == 1 else 269)
-            at += size
+            length = data[at] + 13
+            at += 1
+        if not 1 <= length <= _MAX_URI_PATH:
+            raise ParseError(f"Uri-Path of {length} bytes, not 1-{_MAX_URI_PATH}")
         end = at + length
         if end > len(data):
             raise ParseError("truncated Uri-Path option")
-        uri_path = data[at:end].decode("ascii")
+        uri_path = _ascii(data[at:end])
         at = end
     payload = b""
     if at < len(data):
@@ -463,61 +439,59 @@ def http_encode(msg: Union[HttpRequest, HttpResponse]) -> bytes:
     raise ValueError(f"not an HTTP message: {msg!r}")
 
 
-def _http_split(data: bytes) -> tuple[list[str], bytes]:
-    head, sep, body = data.partition(b"\r\n\r\n")
+def _http_parse(data: bytes, kind: str) -> Optional[tuple[object, int]]:
+    """The request or response at the head of data and its size in bytes, or
+    None if data does not hold all of it yet."""
+    head, sep, _ = data.partition(b"\r\n\r\n")
     if not sep:
-        raise ParseError("missing blank line")
-    return head.decode("ascii").split("\r\n"), body
-
-
-def _http_headers(lines: list[str]) -> dict[str, str]:
+        return None
+    lines = _ascii(head).split("\r\n")
     headers = {}
-    for line in lines:
+    for line in lines[1:]:
         name, sep, value = line.partition(": ")
         if not sep:
             raise ParseError(f"malformed header line: {line!r}")
         headers[name.lower()] = value
-    return headers
-
-
-def http_decode_request(data: bytes) -> HttpRequest:
-    lines, body = _http_split(data)
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or parts[2] != "HTTP/1.1":
-        raise ParseError(f"malformed request line: {lines[0]!r}")
-    headers = _http_headers(lines[1:])
-    if "host" not in headers:
-        raise ParseError("missing Host header")
-    expected = int(headers.get("content-length", "0"))
-    if expected != len(body):
-        raise ParseError("Content-Length mismatch")
-    return HttpRequest(parts[0], parts[1], headers["host"], body)
-
-
-def http_decode_response(data: bytes) -> HttpResponse:
-    lines, body = _http_split(data)
+    length = headers.get("content-length", "0")
+    if not length.isdigit():
+        raise ParseError(f"Content-Length {length!r} is not a decimal number")
+    total = len(head) + 4 + int(length)
+    if len(data) < total:
+        return None
+    body = data[len(head) + 4 : total]
+    if kind == "request":
+        parts = lines[0].split(" ")
+        if len(parts) != 3 or parts[2] != "HTTP/1.1":
+            raise ParseError(f"malformed request line: {lines[0]!r}")
+        if "host" not in headers:
+            raise ParseError("missing Host header")
+        return HttpRequest(parts[0], parts[1], headers["host"], body), total
     parts = lines[0].split(" ", 2)
     if len(parts) < 2 or parts[0] != "HTTP/1.1" or not parts[1].isdigit():
         raise ParseError(f"malformed status line: {lines[0]!r}")
-    headers = _http_headers(lines[1:])
-    expected = int(headers.get("content-length", "0"))
-    if expected != len(body):
-        raise ParseError("Content-Length mismatch")
-    return HttpResponse(int(parts[1]), body)
+    return HttpResponse(int(parts[1]), body), total
 
 
 def http_decode_prefix(buffer: bytes, kind: str) -> Optional[tuple[object, int]]:
     """Decode one request or response from a stream buffer head, or None."""
-    head, sep, _ = bytes(buffer).partition(b"\r\n\r\n")
-    if not sep:
-        return None
-    headers = _http_headers(head.decode("ascii").split("\r\n")[1:])
-    total = len(head) + 4 + int(headers.get("content-length", "0"))
-    if len(buffer) < total:
-        return None
-    data = bytes(buffer[:total])
-    msg = http_decode_request(data) if kind == "request" else http_decode_response(data)
-    return msg, total
+    return _http_parse(bytes(buffer), kind)
+
+
+def _http_decode_whole(data: bytes, kind: str):
+    result = _http_parse(data, kind)
+    if result is None:
+        raise ParseError("missing blank line or body bytes")
+    if result[1] != len(data):
+        raise ParseError("Content-Length mismatch")
+    return result[0]
+
+
+def http_decode_request(data: bytes) -> HttpRequest:
+    return _http_decode_whole(data, "request")
+
+
+def http_decode_response(data: bytes) -> HttpResponse:
+    return _http_decode_whole(data, "response")
 
 
 ProtocolMessage = Union[MqttMsg, MqttSnMsg, CoapMsg, HttpRequest, HttpResponse]

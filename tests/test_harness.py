@@ -67,6 +67,8 @@ def test_multi_client_ids_are_numbered():
     dict(cpu_cost=CpuCostModel(ticks_per_message=-10)),
     dict(report_node="router"),  # caught before `motesim run` simulates
     dict(clients=2, report_node="client"),
+    # a CoAP topic is the Uri-Path, at most 255 bytes (RFC 7252 section 5.10)
+    dict(protocol="coap", topic="t" * 256, overheads=Overheads(mtu_bytes=600)),
 ])
 def test_validate_rejects_bad_values(overrides):
     with pytest.raises(ScenarioError):
@@ -119,7 +121,7 @@ def test_configs_that_would_fail_mid_run_fail_validation(overrides):
     dict(protocol="mqtt", payload_bytes=120),  # a 3-byte remaining length
     dict(protocol="mqtt", payload_bytes=2000, overheads=Overheads(mtu_bytes=600)),
     dict(protocol="coap", topic="temperature-x"),  # a 13-byte Uri-Path
-    dict(protocol="coap", topic="t" * 300, payload_bytes=10, overheads=Overheads(mtu_bytes=600)),
+    dict(protocol="coap", topic="t" * 255, payload_bytes=10, overheads=Overheads(mtu_bytes=600)),
     dict(protocol="mqtt-sn", payload_bytes=90),  # exactly 127 B
     dict(protocol="coap", payload_bytes=84),
 ])
@@ -314,6 +316,13 @@ def test_simulate_two_clients():
     assert _error_kinds(sim) == []
     for client in ("client-1", "client-2"):
         assert sim.traces[client].avg.tx_mw > 0.0
+
+
+def test_runtime_notes_an_unparsable_datagram():
+    sim = simulate(ScenarioConfig(protocol="mqtt-sn", **SHORT))
+    # a CONNECT whose client id is not ASCII
+    sim.runtimes["server"]._on_datagram("client", b"\x07\x04\x00\x01\x00\x1e\xe9")
+    assert sim.events[-1][2] == "parse-error"
 
 
 def test_identical_configs_give_identical_csv_bytes(tmp_path):
