@@ -541,7 +541,9 @@ def write_csv(trace: Trace, path) -> None:
         raise ValueError("refusing to write an empty trace")
     lines = [CSV_HEADER]
     for row in trace.rows:
-        lines.append(_format_row(f"{row.interval_end_s:g}", row.sample))
+        end_s = row.interval_end_s  # exact: integers bare, others by round-trip repr
+        label = f"{end_s:.0f}" if end_s.is_integer() else repr(end_s)
+        lines.append(_format_row(label, row.sample))
     lines.append(_format_row("avg", trace.avg))
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ or not it is delivered.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -206,47 +207,29 @@ class RadioMedium:
             self._in_range[src] = listeners
         return listeners
 
-    def broadcast(self, frame: RadioFrame, now: TickTime) -> list[str]:
-        """Propagate a frame already on air; returns ids of receiving nodes.
+    def broadcast(self, frame: RadioFrame, now: TickTime) -> None:
+        """Propagate a frame already on air.
 
         Every in-range listener accrues RX for the airtime span; the frame is
         delivered only to its addressee (or everyone, for broadcast) and only
-        when the success draws pass. Loss burns energy on both sides.
-
-        Duty-cycled listeners whose receive hold this frame extended get one
-        shared end-of-reception event at the frame's end tick. It is queued
-        after the deliveries but before the sender's end of TX; deliveries
-        touch only the CPU and ending a hold only the radio, so the two
-        commute within that tick.
+        when the success draws pass. Loss burns energy on both sides. The
+        deliveries are the only events a frame schedules: listeners end their
+        receive holds by replay (Node.hear).
         """
         air = airtime_ticks(frame.length_bytes)
         end = now + air
         rng = self.engine.rng
         tx_ok = self.link.tx_passes(rng)
         dst = frame.dst
-        delivered = []
-        holds_ended = []
         for node in self._listeners(frame.src):
-            extends_hold = end > node._rx_hold_until
             if not node.hear(now, air):
                 continue
-            if extends_hold and node.duty.enabled:
-                holds_ended.append(node)
             node_id = node.node_id
             if dst != node_id and dst != BROADCAST:
                 continue
             if not tx_ok or not self.link.rx_passes(rng):
                 continue
-            delivered.append(node_id)
             self.engine.call_at(end, node.deliver, frame)
-        if holds_ended:
-            self.engine.call_at(end, _end_receptions, holds_ended)
-        return delivered
-
-
-def _end_receptions(listeners: list["Node"]) -> None:
-    for node in listeners:
-        node._maybe_radio_off()
 
 
 class Node:
@@ -257,10 +240,11 @@ class Node:
     same CPU cost at delivery before the payload reaches a transport.
 
     With duty cycling, the radio wakes every check period P for a window of D
-    ticks if the send pipeline is idle and the radio is off. These checks and
-    window ends schedule nothing: _catch_up() replays the ones due before every
-    point that reads or changes the radio or the pipeline, and settle() is how
-    the counters are read.
+    ticks if the send pipeline is idle and the radio is off. No state ends by
+    an event: _catch_up() replays the checks and the ends of windows and
+    receive holds due before every point that reads or changes the radio or
+    the pipeline, and the next charge or settle() closes an ended CPU busy
+    window. Read the counters through settle(); the ledger alone may lag.
     """
 
     def __init__(
@@ -295,14 +279,15 @@ class Node:
             self._check_period = RTIMER_HZ // duty.check_rate_hz
             self._round = medium.check_round(self._check_period)
             self._next_check = engine.now
-            self._window_ends: deque[TickTime] = deque()  # aborted windows' too
+            self._ends: list[tuple[TickTime, bool]] = []  # heap of (tick, after_check)
         else:
             self.ledger.transition(RadioState.RX, engine.now)
 
     def settle(self, now: TickTime) -> EnergestLedger:
-        """Accrue the ledger up to now, idle checks included; read counters after this."""
+        """Accrue the ledger up to now, replayed state ends included; read counters after this."""
         if self._round is not None:
             self._catch_up(now)
+        self._end_cpu_window(now)
         return self.ledger.settle(now)
 
     # -- outbound pipeline ------------------------------------------------
@@ -356,8 +341,8 @@ class Node:
     def hear(self, now: TickTime, air: int) -> bool:
         """Accrue RX for a frame spanning [now, now + air); False if deaf (mid-TX).
 
-        The radio is held on until the frame ends; RadioMedium.broadcast
-        schedules the end of the hold.
+        The radio is held on until the frame ends; a duty-cycled node queues
+        the end of a hold this frame extends for _catch_up() to replay.
         """
         if self._tx_until > now:
             return False
@@ -368,6 +353,10 @@ class Node:
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
+            if self._round is not None:
+                period = self._check_period
+                after_check = air < period or (air == period and self._round.last == now)
+                heapq.heappush(self._ends, (end, after_check))
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -386,30 +375,31 @@ class Node:
     # -- duty cycling ------------------------------------------------------
 
     def _catch_up(self, now: TickTime) -> None:
-        """Replay the idle checks and window ends that come before this point.
+        """Replay the idle checks and radio-off points that come before this point.
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
-        idle and the radio is off. A window end applies the radio-off rule of
-        _maybe_radio_off at its own tick; the ends of windows that a
-        transmission aborted still apply it. An end on a check tick precedes
-        that check only when D > P: as events, the end was queued a period or
-        more before the check. Window ends commute with every other event at
-        their tick, so an end at now is due unless a check at now comes first.
+        idle and the radio is off. At the end of a window (an aborted one too)
+        or of a receive hold, the radio goes off unless still listening. An
+        end queued at tick q for a check tick e precedes that check, as an
+        event would, iff e - q > P, or e - q == P and the round at q had not
+        run when it was queued; so a window end precedes it iff D > P. Ends
+        commute with every other event at their tick, so an end at now is due
+        unless a check at now comes first.
         """
         last_check = now if self._round.last == now else now - 1
         check = self._next_check
-        ends = self._window_ends
-        if check > last_check and not (ends and ends[0] <= now):
+        ends = self._ends
+        if check > last_check and not (ends and ends[0][0] <= now):
             return
         ledger = self.ledger
         period = self._check_period
         width = self.duty.check_duration_ticks
         while True:
             if ends:
-                end = ends[0]
-                if end <= now and (end < check or (end == check and width > period)):
-                    ends.popleft()
+                end, after_check = ends[0]
+                if end <= now and (end < check or (end == check and not after_check)):
+                    heapq.heappop(ends)
                     if ledger.radio_state is RadioState.RX and not self._listening(end):
                         ledger.transition(RadioState.OFF, end)
                     continue
@@ -426,17 +416,9 @@ class Node:
                 check += closed * period
             ledger.transition(RadioState.RX, check)
             self._check_until = check + width
-            ends.append(self._check_until)
+            heapq.heappush(ends, (self._check_until, width <= period))
             check += period
         self._next_check = check
-
-    def _maybe_radio_off(self) -> None:
-        """End of a receive hold (duty-cycled nodes only): back to sleep
-        unless still listening."""
-        now = self.engine.now
-        self._catch_up(now)
-        if self.ledger.radio_state is RadioState.RX and not self._listening(now):
-            self.ledger.transition(RadioState.OFF, now)
 
     def _listening(self, now: TickTime) -> bool:
         """Whether the radio stays in RX when it is not sending: no duty
@@ -449,21 +431,20 @@ class Node:
         """Occupy the CPU for `ticks`, queued behind any current busy window.
 
         Returns the tick at which this charge completes. Windows coalesce:
-        the CPU stays ACTIVE from the first charge until the queue drains.
+        the CPU stays ACTIVE from the first charge until the queue drains. A
+        window that ended at or before now is closed first, at its own end.
         """
         now = self.engine.now
-        start = max(now, self._cpu_busy_until)
-        if start == now and self.ledger.cpu_state is CpuState.LPM:
+        self._end_cpu_window(now)
+        if self.ledger.cpu_state is CpuState.LPM:
             self.ledger.transition(CpuState.ACTIVE, now)
-        end = start + ticks
-        self._cpu_busy_until = end
-        self.engine.call_at(end, self._cpu_window_end)
-        return end
+            self._cpu_busy_until = now
+        self._cpu_busy_until += ticks
+        return self._cpu_busy_until
 
-    def _cpu_window_end(self) -> None:
-        now = self.engine.now
-        if now >= self._cpu_busy_until and self.ledger.cpu_state is CpuState.ACTIVE:
-            self.ledger.transition(CpuState.LPM, now)
+    def _end_cpu_window(self, now: TickTime) -> None:
+        if self._cpu_busy_until <= now and self.ledger.cpu_state is CpuState.ACTIVE:
+            self.ledger.transition(CpuState.LPM, self._cpu_busy_until)
 
 
 class DatagramTransport:

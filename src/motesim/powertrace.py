@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .energy import CurrentProfile, EnergestLedger, PowerSample, component_power, total_power
@@ -66,11 +66,10 @@ def summarize(samples: Sequence[PowerSample]) -> PowerSample:
     if not samples:
         raise ValueError("cannot summarize an empty trace")
     n = len(samples)
-    return PowerSample(
-        interval_end_s=sum(s.interval_end_s for s in samples) / n,
-        cpu_mw=sum(s.cpu_mw for s in samples) / n,
-        lpm_mw=sum(s.lpm_mw for s in samples) / n,
-        tx_mw=sum(s.tx_mw for s in samples) / n,
-        rx_mw=sum(s.rx_mw for s in samples) / n,
-        total_mw=sum(s.total_mw for s in samples) / n,
-    )
+    means = []
+    for column in fields(PowerSample):
+        total = 0.0
+        for sample in samples:  # left to right: sum() compensates from Python 3.12 on
+            total += getattr(sample, column.name)
+        means.append(total / n)
+    return PowerSample(*means)

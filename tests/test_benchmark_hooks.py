@@ -20,7 +20,7 @@ DEFAULT_RUN_COUNTS = {
     "protocols.decode": 248,
     "energy.transition": 3300,
     "medium.broadcast": 351,
-    "engine.events": 5781,
+    "engine.events": 4728,
 }
 
 

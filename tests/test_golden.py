@@ -105,6 +105,17 @@ TIE_CASES = {
         publish_offset_s=0.125, duty=DutyCycleConfig(True, 8, 200)),
     "mqtt-sn-d0": ScenarioConfig(protocol="mqtt-sn", duty=DutyCycleConfig(True, 8, 0)),
     "mqtt-zero-cpu-cost": ScenarioConfig(protocol="mqtt", cpu_cost=CpuCostModel(0, 0)),
+    # 61-byte PUBLISH frames take 64 ticks = P at 512 Hz, so receive holds end
+    # on check ticks: the first case needs some of those ends after the check,
+    # the second some before it. Recorded while hold ends were events.
+    "mqtt-sn-air-eq-p-cpu64": ScenarioConfig(
+        protocol="mqtt-sn", duration_s=40, interval_s=5, seed=694706, payload_bytes=24,
+        publish_period_s=0.3, publish_offset_s=0.125,
+        duty=DutyCycleConfig(True, 512, 32), cpu_cost=CpuCostModel(64, 0)),
+    "mqtt-sn-air-eq-p-qos0": ScenarioConfig(
+        protocol="mqtt-sn", duration_s=40, interval_s=5, seed=764331, payload_bytes=24,
+        publish_period_s=0.125, publish_offset_s=0.5, qos=0,
+        duty=DutyCycleConfig(True, 512, 32), cpu_cost=CpuCostModel(0, 0)),
 }
 
 TIE_GOLDEN = {
@@ -120,6 +131,10 @@ TIE_GOLDEN = {
         '588ecbedb34eeef8b41afeca7f50fc0ae795753385565dbc0f3bb4412757385a',
     'mqtt-zero-cpu-cost':
         '7d74fc2c768b3f4b222004e32da495c3ff18bdfa4fe115b493d933495562f626',
+    'mqtt-sn-air-eq-p-cpu64':
+        'c75f11e7fb9ad1c7c57709407d5014cbd4ddc245d1fa2a2a8a9a6def2fac9d7d',
+    'mqtt-sn-air-eq-p-qos0':
+        '6ba5b0c9adaf91425308a03bc0bee8e4d70bf004376da17a1b397c778acf511a',
 }
 
 

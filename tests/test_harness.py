@@ -343,7 +343,7 @@ def test_csv_round_trip_and_formatting(tmp_path):
     write_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[1].startswith("10,")  # %g rendering, no trailing .0
+    assert lines[1].startswith("10,")  # whole seconds bare, no trailing .0
     assert lines[-1].startswith("avg,")
     assert len(lines) == 2 + len(trace.rows)
 
@@ -354,6 +354,20 @@ def test_csv_round_trip_and_formatting(tmp_path):
         assert parsed.interval_end_s == row.interval_end_s
         assert math.isclose(parsed.total_mw, row.sample.total_mw, abs_tol=5e-10)
     assert math.isclose(average.total_mw, trace.avg.total_mw, abs_tol=5e-10)
+
+
+def test_csv_time_labels_parse_back_exactly(tmp_path):
+    from motesim.harness import Trace
+    from motesim.powertrace import TraceRow
+    sample = PowerSample(0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    times = [100000.5, 1000000.0, 1000005.0, 1000015.0, 1000020.0, 2.5e-05]
+    rows = [TraceRow(t, 0, 0, 0, 0, sample) for t in times]
+    path = tmp_path / "long.csv"
+    write_csv(Trace("mqtt", "client", rows, sample), path)
+    labels = [line.split(",")[0] for line in path.read_text().splitlines()[1:-1]]
+    assert labels[1:3] == ["1000000", "1000005"]
+    parsed, _ = parse_trace_csv(path)
+    assert [row.interval_end_s for row in parsed] == times
 
 
 def test_write_csv_rejects_empty_trace(tmp_path):

@@ -103,6 +103,12 @@ def test_summarize_total_is_mean_of_row_totals():
     assert summarize(rows).total_mw == 2.0
 
 
+def test_summarize_adds_each_column_left_to_right():
+    # the same average on every Python: sum() of floats compensates from 3.12 on
+    rows = [PowerSample(10.0, cpu, 0.0, 0.0, 0.0, cpu) for cpu in (1.0, 1e16, 1.0)]
+    assert summarize(rows).cpu_mw == 1e16 / 3
+
+
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
         summarize([])
