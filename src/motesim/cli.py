@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .harness import (
@@ -14,7 +15,7 @@ from .harness import (
     emit_plot_data,
     load_scenario,
     parse_trace_csv,
-    run_scenario,
+    simulate,
     write_csv,
     write_report_csv,
 )
@@ -28,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one protocol and write a trace CSV")
+    run = sub.add_parser("run", help="simulate one protocol, write a trace CSV "
+                                     "and print the run's notes")
     run.add_argument("--protocol", choices=PROTOCOLS,
                      help="application protocol for the client/server pair")
     run.add_argument("--duration", type=float, metavar="S",
@@ -66,10 +68,14 @@ def _cmd_run(args) -> int:
         config.interval_s = args.interval
     if args.seed is not None:
         config.seed = args.seed
-    trace = run_scenario(config.validate())
+    sim = simulate(config)
+    trace = sim.report_trace()
     write_csv(trace, args.out)
     print(f"{config.protocol}: {len(trace.rows)} intervals, "
           f"avg total {trace.avg.total_mw:.9f} mW -> {args.out}")
+    notes = Counter(kind for _, _, kind, _ in sim.events)
+    counts = ", ".join(f"{kind} {count}" for kind, count in sorted(notes.items()))
+    print(f"notes: {counts or 'none'}")
     return 0
 
 

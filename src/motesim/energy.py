@@ -57,6 +57,15 @@ class EnergestLedger:
             raise ValueError(f"not a CPU or radio state: {new_state!r}")
         return self
 
+    def replayed_radio(self, state: RadioState, since: TickTime, rx_ticks: int) -> None:
+        """Take over a radio history replayed elsewhere: the state now, the
+        tick it began, and the RX ticks accrued before that tick."""
+        if since < self.last_radio_change or rx_ticks < self.rx_ticks:
+            raise ValueError(f"replayed radio change at tick {since} precedes the last one")
+        self.radio_state = state
+        self.last_radio_change = since
+        self.rx_ticks = rx_ticks
+
     def _accrue_cpu(self, now: TickTime) -> None:
         delta = now - self.last_cpu_change
         if delta < 0:

@@ -289,6 +289,10 @@ class SimRun:
     traces: dict[str, Trace]
     events: list[tuple[float, str, str, str]]
 
+    def report_trace(self) -> Trace:
+        """The trace of the reported node: report_node, or else the first client."""
+        return self.traces[self.config.report_node or self.config.client_ids()[0]]
+
 
 class ProtocolRuntime:
     """Executes a state machine's actions against a node's transports."""
@@ -521,8 +525,7 @@ def simulate(config: ScenarioConfig) -> SimRun:
 
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Run one scenario and return the trace of the reported node (the client)."""
-    sim = simulate(config)
-    return sim.traces[config.report_node or config.client_ids()[0]]
+    return simulate(config).report_trace()
 
 
 # ---------------------------------------------------------------------------

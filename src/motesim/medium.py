@@ -210,26 +210,30 @@ class RadioMedium:
     def broadcast(self, frame: RadioFrame, now: TickTime) -> None:
         """Propagate a frame already on air.
 
-        Every in-range listener accrues RX for the airtime span; the frame is
-        delivered only to its addressee (or everyone, for broadcast) and only
-        when the success draws pass. Loss burns energy on both sides. The
-        deliveries are the only events a frame schedules: listeners end their
-        receive holds by replay (Node.hear).
+        Every in-range listener that is not itself sending accrues RX for the
+        airtime span; the frame is delivered only to its addressee (or
+        everyone, for broadcast) and only when the success draws pass. Loss
+        burns energy on both sides. The deliveries are the only events a
+        frame schedules. Addressees and listeners without duty cycling hear
+        the frame now (Node.hear); every other listener only queues it, with
+        whether its check round at now has run, for Node._catch_up to replay.
         """
         air = airtime_ticks(frame.length_bytes)
         end = now + air
         rng = self.engine.rng
         tx_ok = self.link.tx_passes(rng)
         dst = frame.dst
+        queued = None  # built on first use: one entry per round_ran, shared by every queue
         for node in self._listeners(frame.src):
-            if not node.hear(now, air):
-                continue
-            node_id = node.node_id
-            if dst != node_id and dst != BROADCAST:
-                continue
-            if not tx_ok or not self.link.rx_passes(rng):
-                continue
-            self.engine.call_at(end, node.deliver, frame)
+            if dst == node.node_id or dst == BROADCAST:
+                if node.hear(now, air) and tx_ok and self.link.rx_passes(rng):
+                    self.engine.call_at(end, node.deliver, frame)
+            elif node._round is None:
+                node.hear(now, air)
+            elif node._tx_until <= now:
+                if queued is None:
+                    queued = ((now, air, False), (now, air, True))
+                node._heard.append(queued[node._round.last == now])
 
 
 class Node:
@@ -241,10 +245,11 @@ class Node:
 
     With duty cycling, the radio wakes every check period P for a window of D
     ticks if the send pipeline is idle and the radio is off. No state ends by
-    an event: _catch_up() replays the checks and the ends of windows and
-    receive holds due before every point that reads or changes the radio or
-    the pipeline, and the next charge or settle() closes an ended CPU busy
-    window. Read the counters through settle(); the ledger alone may lag.
+    an event, and overheard frames are only queued: _catch_up() replays the
+    queued frames, the checks and the ends of windows and receive holds due
+    before every point that reads or changes the radio or the pipeline, and
+    the next charge or settle() closes an ended CPU busy window. Read the
+    counters through settle(); the ledger alone may lag.
     """
 
     def __init__(
@@ -279,7 +284,9 @@ class Node:
             self._check_period = RTIMER_HZ // duty.check_rate_hz
             self._round = medium.check_round(self._check_period)
             self._next_check = engine.now
-            self._ends: list[tuple[TickTime, bool]] = []  # heap of (tick, after_check)
+            self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
+            self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
+            self._heard: list[tuple[TickTime, int, bool]] = []  # (start, air, round_ran)
         else:
             self.ledger.transition(RadioState.RX, engine.now)
 
@@ -314,12 +321,12 @@ class Node:
 
     def _start_tx(self, frame: RadioFrame) -> None:
         now = self.engine.now
+        if self._round is not None:
+            self._catch_up(now)  # queued frames may hold the radio
         if self._rx_hold_until > now:
             # an inbound frame is mid-air; transmit after it completes
             self.engine.call_at(self._rx_hold_until, self._start_tx, frame)
             return
-        if self._round is not None:
-            self._catch_up(now)
         air = airtime_ticks(frame.length_bytes)
         self._check_until = min(self._check_until, now)  # abort any idle check
         self.ledger.transition(RadioState.TX, now)
@@ -341,22 +348,21 @@ class Node:
     def hear(self, now: TickTime, air: int) -> bool:
         """Accrue RX for a frame spanning [now, now + air); False if deaf (mid-TX).
 
-        The radio is held on until the frame ends; a duty-cycled node queues
-        the end of a hold this frame extends for _catch_up() to replay.
+        The radio is held on until the frame ends. A duty-cycled node queues
+        the frame as RadioMedium.broadcast does for its bystanders, and
+        replays it at once.
         """
         if self._tx_until > now:
             return False
         if self._round is not None:
+            self._heard.append((now, air, self._round.last == now))
             self._catch_up(now)
+            return True
         if self.ledger.radio_state is not RadioState.RX:
             self.ledger.transition(RadioState.RX, now)
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
-            if self._round is not None:
-                period = self._check_period
-                after_check = air < period or (air == period and self._round.last == now)
-                heapq.heappush(self._ends, (end, after_check))
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -375,50 +381,91 @@ class Node:
     # -- duty cycling ------------------------------------------------------
 
     def _catch_up(self, now: TickTime) -> None:
-        """Replay the idle checks and radio-off points that come before this point.
+        """Replay the queued frames, idle checks and radio-off points before this point.
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
         idle and the radio is off. At the end of a window (an aborted one too)
-        or of a receive hold, the radio goes off unless still listening. An
-        end queued at tick q for a check tick e precedes that check, as an
-        event would, iff e - q > P, or e - q == P and the round at q had not
-        run when it was queued; so a window end precedes it iff D > P. Ends
-        commute with every other event at their tick, so an end at now is due
-        unless a check at now comes first.
+        or of the receive hold, the radio goes off unless still listening; a
+        hold end that a later frame extended would find it held, so only the
+        latest is kept. An end queued at tick q for a check tick e precedes
+        that check, as an event would, iff e - q > P, or e - q == P and the
+        round at q had not run when it was queued; so a window end precedes it
+        iff D > P. Ends commute with every other event at their tick, so an
+        end at now is due unless a check at now comes first.
+
+        A frame queued at tick s is heard where its broadcast ran: after the
+        checks and ends due then (the check at s iff its round had run), and
+        before the next one. It turns the radio on and may extend the receive
+        hold. The pipeline is idle or busy throughout, because every point
+        that changes it replays first. The radio's state and counters are
+        replayed in locals and written back to the ledger once.
         """
-        last_check = now if self._round.last == now else now - 1
+        heard = self._heard
+        ran = self._round.last == now
         check = self._next_check
         ends = self._ends
-        if check > last_check and not (ends and ends[0][0] <= now):
+        hold, hold_after = self._rx_hold_until, self._hold_after
+        if (not heard and check > (now if ran else now - 1)
+                and not (ends and ends[0][0] <= now)
+                and not (hold_after is not None and hold <= now)):
             return
+        heard.append((now, -1, ran))  # the point itself, after every queued frame
         ledger = self.ledger
+        state, since, rx = ledger.radio_state, ledger.last_radio_change, ledger.rx_ticks
+        check_until = self._check_until
+        busy = self._pipeline_busy
         period = self._check_period
         width = self.duty.check_duration_ticks
-        while True:
-            if ends:
-                end, after_check = ends[0]
-                if end <= now and (end < check or (end == check and not after_check)):
-                    heapq.heappop(ends)
-                    if ledger.radio_state is RadioState.RX and not self._listening(end):
-                        ledger.transition(RadioState.OFF, end)
+        RX, OFF = RadioState.RX, RadioState.OFF
+        for start, air, ran in heard:
+            last_check = start if ran else start - 1
+            while True:
+                if (hold_after is not None and hold <= start
+                        and (hold < check or (hold == check and not hold_after))):
+                    # A window end before it is due too, but finds the radio held.
+                    hold_after = None
+                    if state is RX and check_until <= hold:
+                        rx += hold - since
+                        state, since = OFF, hold
                     continue
-            if check > last_check:
+                if ends:
+                    end, after_check = ends[0]
+                    if end <= start and (end < check or (end == check and not after_check)):
+                        heapq.heappop(ends)
+                        if state is RX and check_until <= end and hold <= end:
+                            rx += end - since
+                            state, since = OFF, end
+                        continue
+                if check > last_check:
+                    break
+                if busy or state is not OFF:
+                    check += period  # preempted by outbound traffic, or already listening
+                    continue
+                if width < period:
+                    # Each window closes before the next check and nothing else
+                    # is pending, so all due windows but the last add D at once.
+                    closed = (last_check - check) // period
+                    rx += closed * width
+                    check += closed * period
+                state, since = RX, check
+                check_until = check + width
+                heapq.heappush(ends, (check_until, width <= period))
+                check += period
+            if air < 0:
                 break
-            if self._pipeline_busy or ledger.radio_state is not RadioState.OFF:
-                check += period  # preempted by outbound traffic, or already listening
-                continue
-            if width < period:
-                # Each window closes before the next check and nothing else
-                # is pending, so all due windows but the last add D at once.
-                closed = (last_check - check) // period
-                ledger.rx_ticks += closed * width
-                check += closed * period
-            ledger.transition(RadioState.RX, check)
-            self._check_until = check + width
-            heapq.heappush(ends, (self._check_until, width <= period))
-            check += period
+            if state is not RX:
+                if state is RadioState.TX:  # heard at the tick its own TX ends
+                    ledger.tx_ticks += start - since
+                state, since = RX, start
+            if start + air > hold:
+                hold = start + air
+                hold_after = air < period or (air == period and ran)
+        heard.clear()
         self._next_check = check
+        self._check_until = check_until
+        self._rx_hold_until, self._hold_after = hold, hold_after
+        ledger.replayed_radio(state, since, rx)
 
     def _listening(self, now: TickTime) -> bool:
         """Whether the radio stays in RX when it is not sending: no duty

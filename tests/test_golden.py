@@ -116,6 +116,20 @@ TIE_CASES = {
         protocol="mqtt-sn", duration_s=40, interval_s=5, seed=764331, payload_bytes=24,
         publish_period_s=0.125, publish_offset_s=0.5, qos=0,
         duty=DutyCycleConfig(True, 512, 32), cpu_cost=CpuCostModel(0, 0)),
+    # Frames overheard at a check tick, before and after that tick's check
+    # round ran: whether the check opens a window and whether an airtime == P
+    # hold end precedes the next check both depend on which side the frame
+    # fell. Recorded while every listener heard each frame as it was sent.
+    "mqtt-5x-d-eq-p-cpu0": ScenarioConfig(
+        protocol="mqtt", duration_s=10, interval_s=2, seed=862147, clients=5,
+        payload_bytes=5, publish_period_s=0.125, publish_offset_s=0.125, qos=1,
+        tx_success=0.7, rx_success=0.8, duty=DutyCycleConfig(True, 8, 4096),
+        cpu_cost=CpuCostModel(0, 0), overheads=Overheads(mtu_bytes=600)),
+    "mqtt-sn-5x-256hz-cpu0": ScenarioConfig(
+        protocol="mqtt-sn", duration_s=20, interval_s=5, seed=147143, clients=5,
+        payload_bytes=5, publish_period_s=1, publish_offset_s=0, qos=1, tx_success=0.7,
+        duty=DutyCycleConfig(True, 256, 128), cpu_cost=CpuCostModel(0, 0),
+        overheads=Overheads(mtu_bytes=600)),
 }
 
 TIE_GOLDEN = {
@@ -135,6 +149,10 @@ TIE_GOLDEN = {
         'c75f11e7fb9ad1c7c57709407d5014cbd4ddc245d1fa2a2a8a9a6def2fac9d7d',
     'mqtt-sn-air-eq-p-qos0':
         '6ba5b0c9adaf91425308a03bc0bee8e4d70bf004376da17a1b397c778acf511a',
+    'mqtt-5x-d-eq-p-cpu0':
+        '9c17a307d4d25a5979d53288be1774630b21c8d2cadb08cb50e90379e64268ac',
+    'mqtt-sn-5x-256hz-cpu0':
+        '985871534d00be026b564e6e5ff1ca05565879d6fac773bd758fc357b198f45c',
 }
 
 

@@ -474,6 +474,22 @@ def test_cli_flags_override_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("coap: 2 intervals")
 
 
+def test_cli_run_prints_the_notes_of_every_node(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["run", "--protocol", "coap", "--duration", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "notes: none"
+    # the gateway is out of range: the client notes the failed connect and
+    # the run still writes its trace
+    scenario = tmp_path / "far.ini"
+    scenario.write_text("[scenario]\nprotocol = mqtt-sn\nduration_s = 20\n"
+                        "[radio]\nserver_pos = 100, 0\n")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    summary, notes = capsys.readouterr().out.splitlines()
+    assert summary.startswith("mqtt-sn: 2 intervals")
+    assert notes.startswith("notes: ") and "connection-failed 1" in notes
+    assert len(parse_trace_csv(out)[0]) == 2
+
+
 def test_cli_run_reports_errors(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "absent.ini"),
                "--out", str(tmp_path / "t.csv")])

@@ -4,14 +4,22 @@ Every config that ScenarioConfig.validate() accepts must run to the end, with
 cpu + lpm ticks equal to the interval and tx + rx ticks at most the interval on
 every node and in every interval, and no message that its receiver cannot
 parse. Every other config must fail with a ScenarioError before the run starts.
+
+Nodes account their radio lazily, so when a node settles must not matter:
+settling some nodes at extra points of the event order leaves every trace row
+as it was.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motesim import harness
 from motesim.engine import seconds_to_ticks
 from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
-from motesim.medium import DutyCycleConfig
+from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium
 
 # Characters that split an HTTP request line or header, or an ini value.
 TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
@@ -51,3 +59,48 @@ def test_accepted_configs_run_to_the_end_with_sound_books(config):
         assert [row.cpu_delta + row.lpm_delta for row in trace.rows] == [interval_ticks] * 2
         assert all(row.tx_delta + row.rx_delta <= interval_ticks for row in trace.rows)
     assert "parse-error" not in [kind for _, _, kind, _ in sim.events]
+
+
+TRAFFIC = st.builds(
+    ScenarioConfig,
+    protocol=st.sampled_from(PROTOCOLS),
+    duration_s=st.just(10.0),
+    interval_s=st.just(2.5),
+    clients=st.integers(2, 5),
+    payload_bytes=st.integers(0, 100),
+    publish_period_s=st.sampled_from((0.25, 0.5)),
+    tx_success=st.sampled_from((1.0, 0.7)),
+    duty=st.sampled_from(DUTIES[1:]),
+    cpu_cost=st.sampled_from((CpuCostModel(), CpuCostModel(0, 0), CpuCostModel(64, 0))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(TRAFFIC, st.integers(0, 2**32 - 1))
+def test_extra_settles_change_no_trace_row(config, settle_seed):
+    try:
+        config.validate()
+    except ScenarioError:
+        return
+    rng = random.Random(settle_seed)
+
+    class SettlingMedium(RadioMedium):
+        """Settles a random subset of its nodes every 500 to 8,000 ticks."""
+
+        def __init__(self, engine, link, overheads):
+            super().__init__(engine, link, overheads)
+            engine.call_at(rng.randint(500, 8000), self._settle_some)
+
+        def _settle_some(self):
+            now = self.engine.now
+            for node in self.nodes.values():
+                if rng.random() < 0.5:
+                    node.settle(now)
+            self.engine.call_at(now + rng.randint(500, 8000), self._settle_some)
+
+    plain = simulate(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "RadioMedium", SettlingMedium)
+        settled = simulate(config)
+    assert {node_id: trace.rows for node_id, trace in settled.traces.items()} == \
+        {node_id: trace.rows for node_id, trace in plain.traces.items()}
