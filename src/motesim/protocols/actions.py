@@ -3,11 +3,15 @@
 Machines update their state in place and return what to do:
 step(state, event) -> actions. All timing and I/O happens in the runtime that
 executes the returned actions.
+
+Every client resends by one rule, kept in its state's `unacked` dict by timer
+key: `await_ack` sends and arms the timer, `resend` repeats the same message
+each time it fires until a budget runs out, and `acked` ends the wait.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 # The one server node every client talks to: MQTT broker, MQTT-SN gateway,
@@ -64,9 +68,6 @@ class CloseStream:
 class Notify:
     kind: str
     detail: str = ""
-
-
-Action = object
 
 
 # -- events -----------------------------------------------------------------
@@ -127,16 +128,28 @@ def next_msg_id(state) -> int:
     return msg_id
 
 
-def retry_publish(state, key: str, timeout_s: float, max_retries: int) -> list:
-    """PUBACK timer `key` ("puback:<msg_id>") fired: resend the publish still in
-    state.inflight with DUP set and rearm, or give up after max_retries resends."""
-    msg_id = int(key.split(":", 1)[1])
-    entry = state.inflight.get(msg_id)
+def await_ack(state, key: str, msg, timeout_s: float, resend_as=None) -> list:
+    """Send msg to the server and arm timer `key`; until acked(state, key),
+    resend() sends resend_as (msg itself by default)."""
+    state.unacked[key] = (msg if resend_as is None else resend_as, 0, timeout_s)
+    return [SendMsg(msg, SERVER), StartTimer(key, delay_s=timeout_s)]
+
+
+def acked(state, key: str) -> list:
+    """The ack for `key` arrived: forget its message and stop its timer."""
+    return [] if state.unacked.pop(key, None) is None else [StopTimer(key)]
+
+
+def resend(state, key: str, max_resends: int, failed: Notify, backoff: float = 1.0) -> list:
+    """Timer `key` fired: resend its message and rearm with the timeout times
+    backoff, or forget it and return [failed] after max_resends resends."""
+    entry = state.unacked.get(key)
     if entry is None:
         return []
-    msg, tries = entry
-    if tries >= max_retries:
-        del state.inflight[msg_id]
-        return [Notify("publish-failed", f"msg_id {msg_id}")]
-    state.inflight[msg_id] = (msg, tries + 1)
-    return [SendMsg(replace(msg, dup=True), SERVER), StartTimer(key, delay_s=timeout_s)]
+    msg, resends, timeout_s = entry
+    if resends >= max_resends:
+        del state.unacked[key]
+        return [failed]
+    timeout_s *= backoff
+    state.unacked[key] = (msg, resends + 1, timeout_s)
+    return [SendMsg(msg, SERVER), StartTimer(key, delay_s=timeout_s)]

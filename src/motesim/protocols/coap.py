@@ -15,10 +15,11 @@ from .actions import (
     Notify,
     SendMsg,
     Started,
-    StartTimer,
-    StopTimer,
     TimerFired,
+    acked,
+    await_ack,
     next_msg_id,
+    resend,
     start_grid_timer,
 )
 from .messages import COAP_ACK, COAP_CON, COAP_NON, COAP_RST, CoapMsg
@@ -38,7 +39,7 @@ TOKEN_BYTES = 8  # the longest token; it carries the message id, zero-padded
 class CoapClientState:
     config: ClientConfig = field(default_factory=ClientConfig)
     next_msg_id: int = 1
-    exchanges: dict[int, tuple[CoapMsg, int, float]] = field(default_factory=dict)
+    unacked: dict[str, tuple[CoapMsg, int, float]] = field(default_factory=dict)
     responses: list[CoapMsg] = field(default_factory=list)
     requests_sent: int = 0
 
@@ -50,11 +51,9 @@ def _emit_request(state: CoapClientState) -> list:
     request = CoapMsg(COAP_CON if confirmable else COAP_NON, "GET", msg_id,
                       msg_id.to_bytes(TOKEN_BYTES, "big"), cfg.topic)
     state.requests_sent += 1
-    actions = [SendMsg(request, SERVER)]
-    if confirmable:
-        state.exchanges[msg_id] = (request, 0, ACK_TIMEOUT_S)
-        actions.append(StartTimer(f"retx:{msg_id}", delay_s=ACK_TIMEOUT_S))
-    return actions
+    if not confirmable:
+        return [SendMsg(request, SERVER)]
+    return await_ack(state, f"retx:{msg_id}", request, ACK_TIMEOUT_S)
 
 
 def coap_exchange(state: CoapClientState, event) -> list:
@@ -67,31 +66,18 @@ def coap_exchange(state: CoapClientState, event) -> list:
             return _emit_request(state) + start_grid_timer(
                 "request", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key.startswith("retx:"):
-            msg_id = int(event.key.split(":", 1)[1])
-            entry = state.exchanges.get(msg_id)
-            if entry is None:
-                return []
-            request, count, timeout = entry
-            if count >= MAX_RETRANSMIT:
-                del state.exchanges[msg_id]
-                return [Notify("exchange-failed", f"msg_id {msg_id}")]
-            timeout *= BACKOFF_FACTOR
-            state.exchanges[msg_id] = (request, count + 1, timeout)
-            return [SendMsg(request, SERVER),
-                    StartTimer(event.key, delay_s=timeout)]
+            return resend(state, event.key, MAX_RETRANSMIT,
+                          Notify("exchange-failed", event.key.replace("retx:", "msg_id ")),
+                          BACKOFF_FACTOR)
 
     if isinstance(event, MsgIn):
         msg = event.msg
-        if msg.mtype in (COAP_ACK, COAP_NON) and msg.msg_id in state.exchanges:
-            del state.exchanges[msg.msg_id]
-            state.responses.append(msg)
-            return [StopTimer(f"retx:{msg.msg_id}")]
-        if msg.mtype == COAP_NON:
-            state.responses.append(msg)  # response to a non-confirmable request
-        if msg.mtype == COAP_RST and msg.msg_id in state.exchanges:
-            del state.exchanges[msg.msg_id]
-            return [StopTimer(f"retx:{msg.msg_id}"),
-                    Notify("exchange-reset", f"msg_id {msg.msg_id}")]
+        key = f"retx:{msg.msg_id}"
+        if msg.mtype == COAP_NON or (msg.mtype == COAP_ACK and key in state.unacked):
+            state.responses.append(msg)  # a NON may answer a non-confirmable request
+            return acked(state, key)
+        if msg.mtype == COAP_RST and key in state.unacked:
+            return acked(state, key) + [Notify("exchange-reset", f"msg_id {msg.msg_id}")]
 
     return []
 

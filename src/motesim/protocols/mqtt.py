@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .actions import (
     SERVER,
@@ -19,8 +19,10 @@ from .actions import (
     StreamDown,
     StreamUp,
     TimerFired,
+    acked,
+    await_ack,
     next_msg_id,
-    retry_publish,
+    resend,
     start_grid_timer,
 )
 from .messages import (
@@ -44,7 +46,7 @@ class MqttClientState:
     config: ClientConfig = field(default_factory=ClientConfig)
     phase: str = "idle"  # idle, connecting, handshaking, up
     next_msg_id: int = 1
-    inflight: dict[int, tuple[MqttMsg, int]] = field(default_factory=dict)
+    unacked: dict[str, tuple[MqttMsg, int, float]] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
     publishes_sent: int = 0
 
@@ -55,11 +57,9 @@ def _emit_publish(state: MqttClientState, payload: bytes) -> list:
     msg = MqttMsg(MQTT_PUBLISH, topic=cfg.topic, qos=cfg.qos,
                   msg_id=msg_id, payload=payload)
     state.publishes_sent += 1
-    actions = [SendMsg(msg, SERVER)]
-    if cfg.qos > 0:
-        state.inflight[msg_id] = (msg, 0)
-        actions.append(StartTimer(f"puback:{msg_id}", delay_s=PUBACK_TIMEOUT_S))
-    return actions
+    if cfg.qos == 0:
+        return [SendMsg(msg, SERVER)]
+    return await_ack(state, f"puback:{msg_id}", msg, PUBACK_TIMEOUT_S, replace(msg, dup=True))
 
 
 def _rearm_ping() -> list:
@@ -82,11 +82,11 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
 
     if isinstance(event, StreamDown):
         state.phase = "idle"
-        actions = [Notify("connection-lost", event.reason), StopTimer("ping")]
-        for msg_id, (msg, _) in sorted(state.inflight.items()):
-            actions.append(StopTimer(f"puback:{msg_id}"))
+        actions = [Notify("connection-lost", event.reason), StopTimer("ping"),
+                   StopTimer("connack")]
+        for key, (msg, _, _) in list(state.unacked.items()):
             state.pending.append(msg.payload)
-        state.inflight.clear()
+            actions += acked(state, key)
         return actions
 
     if isinstance(event, MsgIn):
@@ -100,9 +100,8 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
             if actions[1:]:
                 actions += _rearm_ping()
             return actions
-        if msg.type == MQTT_PUBACK and msg.msg_id in state.inflight:
-            del state.inflight[msg.msg_id]
-            return [StopTimer(f"puback:{msg.msg_id}")]
+        if msg.type == MQTT_PUBACK:
+            return acked(state, f"puback:{msg.msg_id}")
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
@@ -124,7 +123,8 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
             ping = MqttMsg(MQTT_PINGREQ)
             return [SendMsg(ping, SERVER)] + _rearm_ping()
         if event.key.startswith("puback:"):
-            return retry_publish(state, event.key, PUBACK_TIMEOUT_S, MAX_RETRIES)
+            return resend(state, event.key, MAX_RETRIES,
+                          Notify("publish-failed", event.key.replace("puback:", "msg_id ")))
 
     return []
 

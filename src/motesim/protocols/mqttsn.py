@@ -7,7 +7,7 @@ PUBACK when the broker acks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .actions import (
     SERVER,
@@ -16,11 +16,11 @@ from .actions import (
     Notify,
     SendMsg,
     Started,
-    StartTimer,
-    StopTimer,
     TimerFired,
+    acked,
+    await_ack,
     next_msg_id,
-    retry_publish,
+    resend,
     start_grid_timer,
 )
 from .messages import (
@@ -44,6 +44,7 @@ KEEPALIVE_S = 30.0
 CONNACK_TIMEOUT_S = 5.0
 ACK_TIMEOUT_S = 1.0  # REGACK and PUBACK
 MAX_RETRIES = 3  # REGISTER or PUBLISH resends before the client gives up
+CONNECT_RESENDS = 0  # no CONNACK in time: the client goes idle at once
 
 
 @dataclass
@@ -52,9 +53,7 @@ class SnClientState:
     phase: str = "idle"  # idle, connecting, registering, up
     topic_id: int = 0
     next_msg_id: int = 1
-    register_tries: int = 0
-    register_msg_id: int = 0
-    inflight: dict[int, tuple[MqttSnMsg, int]] = field(default_factory=dict)
+    unacked: dict[str, tuple[MqttSnMsg, int, float]] = field(default_factory=dict)
     publishes_sent: int = 0
 
 
@@ -64,19 +63,9 @@ def _emit_publish(state: SnClientState, payload: bytes) -> list:
     msg = MqttSnMsg(SN_PUBLISH, topic_id=state.topic_id, msg_id=msg_id,
                     payload=payload, qos=cfg.qos)
     state.publishes_sent += 1
-    actions = [SendMsg(msg, SERVER)]
-    if cfg.qos > 0:
-        state.inflight[msg_id] = (msg, 0)
-        actions.append(StartTimer(f"puback:{msg_id}", delay_s=ACK_TIMEOUT_S))
-    return actions
-
-
-def _send_register(state: SnClientState) -> list:
-    state.register_msg_id = next_msg_id(state)
-    register = MqttSnMsg(SN_REGISTER, topic_id=0, msg_id=state.register_msg_id,
-                         topic=state.config.topic)
-    return [SendMsg(register, SERVER),
-            StartTimer("regack", delay_s=ACK_TIMEOUT_S)]
+    if cfg.qos == 0:
+        return [SendMsg(msg, SERVER)]
+    return await_ack(state, f"puback:{msg_id}", msg, ACK_TIMEOUT_S, replace(msg, dup=True))
 
 
 def mqttsn_client_step(state: SnClientState, event) -> list:
@@ -85,23 +74,22 @@ def mqttsn_client_step(state: SnClientState, event) -> list:
         state.phase = "connecting"
         connect = MqttSnMsg(SN_CONNECT, client_id=cfg.client_id,
                             duration_s=int(KEEPALIVE_S))
-        return [SendMsg(connect, SERVER),
-                StartTimer("connack", delay_s=CONNACK_TIMEOUT_S)]
+        return await_ack(state, "connack", connect, CONNACK_TIMEOUT_S)
 
     if isinstance(event, MsgIn):
         msg = event.msg
         if msg.type == SN_CONNACK and state.phase == "connecting":
             state.phase = "registering"
-            return [StopTimer("connack")] + _send_register(state)
+            register = MqttSnMsg(SN_REGISTER, msg_id=next_msg_id(state), topic=cfg.topic)
+            return acked(state, "connack") + await_ack(state, "regack", register, ACK_TIMEOUT_S)
         if (msg.type == SN_REGACK and state.phase == "registering"
-                and msg.msg_id == state.register_msg_id):
+                and msg.msg_id == state.unacked["regack"][0].msg_id):
             state.phase = "up"
             state.topic_id = msg.topic_id
-            return [StopTimer("regack")] + start_grid_timer(
+            return acked(state, "regack") + start_grid_timer(
                 "publish", event.now_s, cfg.offset_s, cfg.period_s)
-        if msg.type == SN_PUBACK and msg.msg_id in state.inflight:
-            del state.inflight[msg.msg_id]
-            return [StopTimer(f"puback:{msg.msg_id}")]
+        if msg.type == SN_PUBACK:
+            return acked(state, f"puback:{msg.msg_id}")
 
     if isinstance(event, TimerFired):
         if event.key == "publish":
@@ -109,16 +97,17 @@ def mqttsn_client_step(state: SnClientState, event) -> list:
             return _emit_publish(state, payload) + start_grid_timer(
                 "publish", event.now_s, cfg.offset_s, cfg.period_s)
         if event.key == "connack":
+            actions = resend(state, "connack", CONNECT_RESENDS,
+                             Notify("connection-failed", "no CONNACK"))
+        elif event.key == "regack":
+            actions = resend(state, "regack", MAX_RETRIES,
+                             Notify("register-failed", cfg.topic))
+        else:  # puback:<msg_id>
+            return resend(state, event.key, MAX_RETRIES,
+                          Notify("publish-failed", event.key.replace("puback:", "msg_id ")))
+        if event.key not in state.unacked:
             state.phase = "idle"
-            return [Notify("connection-failed", "no CONNACK")]
-        if event.key == "regack":
-            if state.register_tries >= MAX_RETRIES:
-                state.phase = "idle"
-                return [Notify("register-failed", cfg.topic)]
-            state.register_tries += 1
-            return _send_register(state)
-        if event.key.startswith("puback:"):
-            return retry_publish(state, event.key, ACK_TIMEOUT_S, MAX_RETRIES)
+        return actions
 
     return []
 

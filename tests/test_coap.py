@@ -65,7 +65,7 @@ def test_ack_response_completes_exchange():
     response = wire.CoapMsg(wire.COAP_ACK, "2.05", request.msg_id,
                             request.token, payload=b"22")
     actions = coap_exchange(state, MsgIn(response, "server", 1.1))
-    assert state.exchanges == {}
+    assert state.unacked == {}
     assert state.responses == [response]
     assert StopTimer("retx:1") in actions
 
@@ -84,7 +84,7 @@ def test_retransmission_backs_off_exponentially():
     actions = coap_exchange(state, TimerFired("retx:1", 99.0))
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "exchange-failed"
-    assert state.exchanges == {}
+    assert state.unacked == {}
 
 
 def test_reset_aborts_exchange():
@@ -92,7 +92,7 @@ def test_reset_aborts_exchange():
     request = sent(actions)[0]
     rst = wire.CoapMsg(wire.COAP_RST, "EMPTY", request.msg_id)
     actions = coap_exchange(state, MsgIn(rst, "server", 1.1))
-    assert state.exchanges == {}
+    assert state.unacked == {}
     assert only(actions, Notify)[0].kind == "exchange-reset"
 
 
@@ -101,7 +101,7 @@ def test_non_confirmable_mode_sends_without_retx_state():
     state, actions = _first_request(CoapClientState(config))
     request = sent(actions)[0]
     assert request.mtype == wire.COAP_NON
-    assert state.exchanges == {}
+    assert state.unacked == {}
     assert not any(t.key.startswith("retx") for t in only(actions, StartTimer))
     response = wire.CoapMsg(wire.COAP_NON, "2.05", request.msg_id,
                             request.token, payload=b"22")

@@ -95,7 +95,7 @@ def test_publish_timer_emits_qos1_publish_and_rearms():
     assert any(t.key == "puback:1" for t in timers)
     assert any(t.key == "publish" and t.at_s == 6.0 for t in timers)
     assert state.publishes_sent == 1
-    assert 1 in state.inflight
+    assert "puback:1" in state.unacked
 
 
 def test_puback_clears_inflight():
@@ -103,7 +103,7 @@ def test_puback_clears_inflight():
     mqtt_client_step(state, TimerFired("publish", 1.0))
     puback = wire.MqttMsg(wire.MQTT_PUBACK, msg_id=1)
     actions = mqtt_client_step(state, MsgIn(puback, "server", 1.1))
-    assert state.inflight == {}
+    assert state.unacked == {}
     assert StopTimer("puback:1") in actions
 
 
@@ -127,7 +127,7 @@ def test_publish_gives_up_after_retry_budget():
     actions = mqtt_client_step(state, TimerFired("puback:1", 9.0))
     assert sent(actions) == []
     assert only(actions, Notify)[0].kind == "publish-failed"
-    assert state.inflight == {}
+    assert state.unacked == {}
 
 
 def test_qos0_publish_needs_no_ack():
@@ -140,7 +140,7 @@ def test_qos0_publish_needs_no_ack():
     publish = sent(actions)[0]
     assert publish.qos == 0 and publish.msg_id == 0
     assert not any(t.key.startswith("puback") for t in only(actions, StartTimer))
-    assert state.inflight == {}
+    assert state.unacked == {}
 
 
 def test_stream_failure_requeues_inflight_and_reconnects_on_next_tick():
@@ -163,7 +163,7 @@ def test_stream_failure_requeues_inflight_and_reconnects_on_next_tick():
     flushed = [m for m in sent(actions) if m.type == wire.MQTT_PUBLISH]
     assert [(m.msg_id, m.payload) for m in flushed] == [(2, bytes(30)), (3, bytes(30))]
     assert [t.key for t in only(actions, StartTimer)][:2] == ["puback:2", "puback:3"]
-    assert not state.pending and sorted(state.inflight) == [2, 3]
+    assert not state.pending and sorted(state.unacked) == ["puback:2", "puback:3"]
 
 
 def test_connack_timeout_resets_to_idle():
@@ -174,6 +174,15 @@ def test_connack_timeout_resets_to_idle():
     assert state.phase == "idle"
     assert only(actions, Notify)[0].kind == "connection-failed"
     assert CloseStream("server") in actions
+
+
+def test_stream_down_while_handshaking_stops_the_connack_timer():
+    state = MqttClientState()
+    mqtt_client_step(state, Started(0.0))
+    mqtt_client_step(state, StreamUp("server", 0.02))
+    actions = mqtt_client_step(state, StreamDown("server", "failed", 1.0))
+    assert state.phase == "idle"
+    assert StopTimer("connack") in actions
 
 
 def test_ping_timer_sends_pingreq():

@@ -58,7 +58,7 @@ def _client_up(topic_id=9):
     mqttsn_client_step(
         state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
     regack = wire.MqttSnMsg(wire.SN_REGACK, topic_id=topic_id,
-                            msg_id=state.register_msg_id, rc=0)
+                            msg_id=state.unacked["regack"][0].msg_id, rc=0)
     mqttsn_client_step(state, MsgIn(regack, "server", 0.08))
     return state
 
@@ -105,7 +105,7 @@ def test_puback_clears_inflight():
     msg_id = sent(actions)[0].msg_id
     ack = wire.MqttSnMsg(wire.SN_PUBACK, topic_id=9, msg_id=msg_id, rc=0)
     actions = mqttsn_client_step(state, MsgIn(ack, "server", 1.2))
-    assert state.inflight == {}
+    assert state.unacked == {}
     assert StopTimer(f"puback:{msg_id}") in actions
 
 
@@ -120,6 +120,20 @@ def test_register_timeout_retries_then_fails():
     actions = mqttsn_client_step(state, TimerFired("regack", 9.0))
     assert only(actions, Notify)[0].kind == "register-failed"
     assert state.phase == "idle"
+
+
+def test_resent_register_keeps_its_msg_id():
+    state = SnClientState()
+    mqttsn_client_step(state, Started(0.0))
+    actions = mqttsn_client_step(
+        state, MsgIn(wire.MqttSnMsg(wire.SN_CONNACK, rc=0), "server", 0.05))
+    register = sent(actions)[0]
+    actions = mqttsn_client_step(state, TimerFired("regack", 1.05))
+    assert sent(actions) == [register]
+    regack = wire.MqttSnMsg(wire.SN_REGACK, topic_id=9, msg_id=register.msg_id, rc=0)
+    actions = mqttsn_client_step(state, MsgIn(regack, "server", 1.1))
+    assert state.phase == "up"
+    assert StopTimer("regack") in actions
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ def test_accepted_configs_run_to_the_end_with_sound_books(config):
         assert [row.cpu_delta + row.lpm_delta for row in trace.rows] == [interval_ticks] * 2
         assert all(row.tx_delta + row.rx_delta <= interval_ticks for row in trace.rows)
     assert "parse-error" not in [kind for _, _, kind, _ in sim.events]
+    for runtime in sim.runtimes.values():  # every awaited ack still has its timer armed
+        assert set(getattr(runtime.state, "unacked", ())) <= runtime.timers.keys()
 
 
 TRAFFIC = st.builds(
