@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .energy import CpuState, EnergestLedger, RadioState
-from .engine import RTIMER_HZ, Engine, TickTime, seconds_to_ticks
+from .engine import RTIMER_HZ, Engine, Mark, TickTime, seconds_to_ticks
 
 # CC2420-class radio bit rate.
 RADIO_RATE_BPS = 250_000
@@ -139,28 +139,6 @@ class StreamConn:
     sendq: deque = field(default_factory=deque)
 
 
-class CheckRound:
-    """Marks where the idle checks of duty-cycled nodes fall in the event order.
-
-    Nodes account their checks lazily (Node._catch_up). This one event per
-    check period does no work: it records the tick it last ran, so that a
-    check at the current tick counts as done only once the events queued
-    ahead of it have run.
-    """
-
-    def __init__(self, engine: Engine, period: int):
-        self.engine = engine
-        self.period = period
-        self.last: TickTime = -1
-        self.due = engine.now
-        self.event_id = engine.call_at(self.due, self._check_round)
-
-    def _check_round(self) -> None:
-        self.last = self.due
-        self.due += self.period
-        self.event_id = self.engine.call_at(self.due, self._check_round)
-
-
 class RadioMedium:
     """Node registry plus the broadcast propagation rule.
 
@@ -175,27 +153,12 @@ class RadioMedium:
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
         self._in_range: dict[str, list["Node"]] = {}
-        self._round: Optional[CheckRound] = None
 
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
             raise ValueError(f"no position for node {node.node_id!r}")
         self.nodes[node.node_id] = node
         self._in_range.clear()
-
-    def check_round(self, period: int) -> CheckRound:
-        """The check round of a duty-cycled node created now.
-
-        A node's first check falls at its creation tick, after the events
-        already queued for that tick. Nodes created one after another, with
-        nothing scheduled in between, share a round.
-        """
-        last = self._round
-        engine = self.engine
-        if (last is None or last.period != period or last.due != engine.now
-                or last.event_id != engine._next_seq - 1):
-            self._round = last = CheckRound(engine, period)
-        return last
 
     def _listeners(self, src: str) -> list["Node"]:
         """Nodes other than src within radio range of it, in registration order."""
@@ -207,33 +170,35 @@ class RadioMedium:
             self._in_range[src] = listeners
         return listeners
 
-    def broadcast(self, frame: RadioFrame, now: TickTime) -> None:
-        """Propagate a frame already on air.
+    def broadcast(self, frame: RadioFrame, now: TickTime) -> list["Node"]:
+        """Propagate a frame already on air; return the nodes that receive it.
 
         Every in-range listener that is not itself sending accrues RX for the
-        airtime span; the frame is delivered only to its addressee (or
+        airtime span; the frame is received only by its addressee (or
         everyone, for broadcast) and only when the success draws pass. Loss
-        burns energy on both sides. The deliveries are the only events a
-        frame schedules. Addressees and listeners without duty cycling hear
-        the frame now (Node.hear); every other listener only queues it, with
-        whether its check round at now has run, for Node._catch_up to replay.
+        burns energy on both sides. The frame schedules no event: the
+        sender's end of TX delivers it to the receivers, in listener order.
+        Addressees and listeners without duty cycling hear the frame now
+        (Node.hear); every other listener only queues it, with whether its
+        check round at now has run, for Node._catch_up to replay.
         """
         air = airtime_ticks(frame.length_bytes)
-        end = now + air
         rng = self.engine.rng
         tx_ok = self.link.tx_passes(rng)
         dst = frame.dst
         queued = None  # built on first use: one entry per round_ran, shared by every queue
+        receivers = []
         for node in self._listeners(frame.src):
             if dst == node.node_id or dst == BROADCAST:
                 if node.hear(now, air) and tx_ok and self.link.rx_passes(rng):
-                    self.engine.call_at(end, node.deliver, frame)
+                    receivers.append(node)
             elif node._round is None:
                 node.hear(now, air)
             elif node._tx_until <= now:
                 if queued is None:
                     queued = ((now, air, False), (now, air, True))
                 node._heard.append(queued[node._round.last == now])
+        return receivers
 
 
 class Node:
@@ -276,13 +241,13 @@ class Node:
         self._tx_until: TickTime = 0
         self._check_until: TickTime = 0
         self._rx_hold_until: TickTime = 0
-        self._round: Optional[CheckRound] = None
+        self._round: Optional[Mark] = None  # the check round, with duty cycling
         medium.add_node(self)
         if duty.enabled:
             if duty.check_rate_hz <= 0 or RTIMER_HZ % duty.check_rate_hz != 0:
                 raise ValueError("check_rate_hz must evenly divide the tick rate")
             self._check_period = RTIMER_HZ // duty.check_rate_hz
-            self._round = medium.check_round(self._check_period)
+            self._round = engine.mark(self._check_period)
             self._next_check = engine.now
             self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
             self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
@@ -332,10 +297,12 @@ class Node:
         self.ledger.transition(RadioState.TX, now)
         self._tx_until = now + air
         self.sent_frames.append(frame)
-        self.medium.broadcast(frame, now)
-        self.engine.call_at(self._tx_until, self._end_tx)
+        receivers = self.medium.broadcast(frame, now)
+        self.engine.call_at(self._tx_until, self._end_tx, frame, receivers)
 
-    def _end_tx(self) -> None:
+    def _end_tx(self, frame: RadioFrame, receivers: list["Node"]) -> None:
+        for node in receivers:
+            node.deliver(frame)  # the frame ends with the TX, before anything else at this tick
         now = self.engine.now
         if self._round is not None:
             self._catch_up(now)

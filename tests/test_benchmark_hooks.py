@@ -20,7 +20,7 @@ DEFAULT_RUN_COUNTS = {
     "protocols.decode": 248,
     "energy.transition": 2114,
     "medium.broadcast": 351,
-    "engine.events": 4728,
+    "engine.events": 1173,
 }
 
 

@@ -1,8 +1,11 @@
-"""Event engine: deterministic ordering, cancellation, and clock conversion."""
+"""Event engine: deterministic ordering, cancellation, marks, and clock conversion."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motesim.engine import (
     RTIMER_HZ,
@@ -151,3 +154,157 @@ def test_nested_scheduling_during_dispatch():
     engine.run(100)
     assert fired == [0, 1, 2, 3]
     assert engine.now == 100
+
+
+# ---------------------------------------------------------------------------
+# Marks: check rounds that sort among events but dispatch nothing
+
+
+class CheckRound:
+    """Reference: a check round as a heap event that reschedules itself."""
+
+    def __init__(self, engine, period):
+        self.engine = engine
+        self.period = period
+        self.last = -1
+        self.due = engine.now
+        self.event_id = engine.call_at(self.due, self._check_round)
+
+    def _check_round(self):
+        self.last = self.due
+        self.due += self.period
+        self.event_id = self.engine.call_at(self.due, self._check_round)
+
+
+class ReferenceEngine(Engine):
+    """Engine whose mark() makes a CheckRound event, shared by back-to-back calls."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.newest = None
+        self.last_id = 0
+
+    def call_at(self, fire_at, fn, *args):
+        self.last_id = super().call_at(fire_at, fn, *args)
+        return self.last_id
+
+    def mark(self, period):
+        newest = self.newest
+        if (newest is None or newest.period != period or newest.due != self.now
+                or newest.event_id != self.last_id):
+            self.newest = newest = CheckRound(self, period)
+        return newest
+
+
+def play(engine, program):
+    """Run a schedule program; return everything a callback could observe.
+
+    program = (initial, specs, untils): initial lists spec indices scheduled
+    before the first run, each spec is (delay, periods, children, cancel),
+    and untils are the ends of successive run() calls.
+    """
+    initial, specs, untils = program
+    rounds, ids, seen = [], {}, []
+
+    def make_rounds(periods):
+        for period in periods:
+            made = engine.mark(period)
+            seen.append(("round", next((i for i, r in enumerate(rounds) if r is made), None)))
+            rounds.append(made)
+
+    def schedule(index):
+        ids[index] = engine.call_at(engine.now + specs[index][0], fire, index)
+        seen.append(("id", index, ids[index]))
+
+    def fire(index):
+        _, periods, children, cancel = specs[index]
+        seen.append(("fire", index, engine.now, [r.last for r in rounds]))
+        make_rounds(periods)
+        for child in children:
+            schedule(child)
+        if cancel in ids:
+            seen.append(("cancel", cancel, engine.cancel(ids[cancel])))
+
+    make_rounds(specs[0][1])
+    for index in initial:
+        schedule(index)
+    for until in untils:
+        engine.run(until)
+        seen.append(("run", until, [r.last for r in rounds]))
+        make_rounds(specs[until % len(specs)][1])  # rounds created between runs
+    return seen
+
+
+@st.composite
+def programs(draw):
+    count = draw(st.integers(1, 10))
+    specs = []
+    for index in range(count):
+        later = st.integers(index + 1, count - 1)
+        specs.append((
+            draw(st.integers(0, 14)),
+            draw(st.lists(st.sampled_from((4, 6)), max_size=2)),
+            draw(st.lists(later, max_size=2, unique=True)) if index + 1 < count else [],
+            draw(st.none() | st.integers(0, count - 1)),
+        ))
+    initial = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3, unique=True))
+    steps = draw(st.lists(st.integers(0, 13), min_size=1, max_size=4))
+    untils = list(itertools.accumulate(steps))
+    return initial, specs, untils
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(programs())
+def test_marks_match_self_rescheduling_round_events(program):
+    assert play(Engine(), program) == play(ReferenceEngine(), program)
+
+
+def test_mark_sorts_after_events_queued_before_it():
+    engine = Engine()
+    seen = []
+    engine.call_at(0, lambda: seen.append(("before", engine.now, mark.last)))
+    mark = engine.mark(8)
+
+    def after():
+        seen.append(("after", engine.now, mark.last))
+        engine.call_at(8, lambda: seen.append(("scheduled after the pass", engine.now, mark.last)))
+
+    engine.call_at(0, after)
+    engine.call_at(8, lambda: seen.append(("scheduled before the pass", engine.now, mark.last)))
+    summary = engine.run(8)
+    assert seen == [("before", 0, -1), ("after", 0, 0),
+                    ("scheduled before the pass", 8, 0), ("scheduled after the pass", 8, 8)]
+    assert summary.events_dispatched == 4  # passes are not events
+
+
+def test_back_to_back_marks_are_shared():
+    engine = Engine()
+    first = engine.mark(4)
+    assert engine.mark(4) is first
+    engine.call_at(1, lambda: None)
+    second = engine.mark(4)
+    assert second is not first  # a seq was taken in between
+    assert engine.mark(4) is second
+    assert engine.mark(6) is not second  # another period
+
+
+def test_run_until_a_mark_tick_passes_it():
+    engine = Engine()
+    mark = engine.mark(4)
+    engine.run(7)
+    assert mark.last == 4
+    engine.run(8)
+    assert mark.last == 8
+
+
+def test_marks_on_a_shared_tick_take_seqs_in_pass_order():
+    engine = Engine()
+    m4 = engine.mark(4)  # seq 1
+    assert engine.call_at(100, lambda: None) == 2
+    m6 = engine.mark(6)  # seq 3
+    engine.run(12)
+    # (0,1)(0,3)(4,4)(6,5)(8,6) pass taking seqs 4..8; at tick 12, m6 holds
+    # seq 7 and m4 seq 8, so m6 passes first (seq 9), then m4 (seq 10).
+    assert (m4.last, m6.last) == (12, 12)
+    assert (m6.seq, m4.seq) == (9, 10)
+    assert engine.call_at(12, lambda: None) == 11

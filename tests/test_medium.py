@@ -191,6 +191,27 @@ def test_sender_defers_tx_while_a_frame_is_inbound():
     assert sorted(got) == ["b", "b"]  # both of b's frames arrive
 
 
+def test_broadcast_reaches_receivers_in_listener_order_before_the_next_frame():
+    engine, medium, nodes = make_world(positions={
+        "a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0), "d": (-10.0, 0.0)})
+    sender = nodes["a"]
+    got = []
+    for node_id in "dbc":  # the order the nodes were registered in is b, c, d
+        node = nodes[node_id]
+        node.deliver = lambda frame, node=node, deliver=node.deliver: (
+            got.append((node.node_id, engine.now, frame.payload, len(sender._outbox))),
+            deliver(frame))
+    sender.datagrams.send(BROADCAST, b"one")
+    sender.datagrams.send(BROADCAST, b"two")
+    engine.run(seconds_to_ticks(1))
+    frame = sender.sent_frames[0]
+    end = CpuCostModel().frame_cost(frame, 9) + airtime_ticks(frame.length_bytes)
+    # "two" is still queued when "one" reaches its receivers at its end tick
+    assert got[:3] == [("b", end, b"one", 1), ("c", end, b"one", 1), ("d", end, b"one", 1)]
+    assert [entry[:1] + entry[2:] for entry in got[3:]] == [
+        ("b", b"two", 0), ("c", b"two", 0), ("d", b"two", 0)]
+
+
 def test_mtu_enforced():
     engine, medium, nodes = make_world()
     with pytest.raises(FrameTooLarge):
