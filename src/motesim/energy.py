@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Optional
 
 from .engine import TickTime
 
@@ -65,6 +66,23 @@ class EnergestLedger:
         self.radio_state = state
         self.last_radio_change = since
         self.rx_ticks = rx_ticks
+
+    def summed(self, now: TickTime, cpu_ticks: int, tx_ticks: Optional[int] = None) -> None:
+        """Take over busy totals summed elsewhere up to now: cpu_ticks ACTIVE
+        in all, and the rest of the time since the last write LPM; with
+        tx_ticks, likewise TX and RX for a radio that is never off."""
+        cpu = cpu_ticks - self.cpu_ticks
+        if not 0 <= cpu <= now - self.last_cpu_change:
+            raise ValueError(f"summed CPU history at tick {now} goes backwards")
+        self.lpm_ticks += now - self.last_cpu_change - cpu
+        self.cpu_ticks, self.last_cpu_change = cpu_ticks, now
+        if tx_ticks is None:
+            return
+        tx = tx_ticks - self.tx_ticks
+        if not 0 <= tx <= now - self.last_radio_change:
+            raise ValueError(f"summed radio history at tick {now} goes backwards")
+        self.rx_ticks += now - self.last_radio_change - tx
+        self.tx_ticks, self.last_radio_change = tx_ticks, now
 
     def _accrue_cpu(self, now: TickTime) -> None:
         delta = now - self.last_cpu_change

@@ -212,9 +212,14 @@ class Node:
     ticks if the send pipeline is idle and the radio is off. No state ends by
     an event, and overheard frames are only queued: _catch_up() replays the
     queued frames, the checks and the ends of windows and receive holds due
-    before every point that reads or changes the radio or the pipeline, and
-    the next charge or settle() closes an ended CPU busy window. Read the
-    counters through settle(); the ledger alone may lag.
+    before every point that reads or changes the radio or the pipeline.
+
+    The CPU, and a radio without duty cycling, change no ledger state: their
+    busy spans never overlap, so their ACTIVE and TX ticks are the charged
+    ticks and the airtime sent, less the part still to come, and settle()
+    writes them with the rest of the elapsed time as LPM and RX. Read the
+    counters through settle(); the ledger alone lags, and only a duty-cycled
+    radio's state tag follows the radio.
     """
 
     def __init__(
@@ -230,15 +235,19 @@ class Node:
         self.medium = medium
         self.duty = duty
         self.cpu_cost = cpu_cost
-        self.ledger = EnergestLedger()
-        self.ledger.transition(CpuState.LPM, engine.now)
+        self.ledger = EnergestLedger(
+            cpu_state=CpuState.LPM,
+            radio_state=RadioState.OFF if duty.enabled else RadioState.RX,
+            last_cpu_change=engine.now, last_radio_change=engine.now)
         self.sent_frames: list[RadioFrame] = []
         self.streams = StreamTransport(self)
         self.datagrams = DatagramTransport(self)
         self._outbox: deque[RadioFrame] = deque()
         self._pipeline_busy = False
         self._cpu_busy_until: TickTime = 0
+        self._cpu_charged = 0  # ticks charged since creation
         self._tx_until: TickTime = 0
+        self._tx_airtime = 0  # airtime sent since creation, without duty cycling
         self._check_until: TickTime = 0
         self._rx_hold_until: TickTime = 0
         self._round: Optional[Mark] = None  # the check round, with duty cycling
@@ -252,14 +261,20 @@ class Node:
             self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
             self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
             self._heard: list[tuple[TickTime, int, bool]] = []  # (start, air, round_ran)
-        else:
-            self.ledger.transition(RadioState.RX, engine.now)
 
     def settle(self, now: TickTime) -> EnergestLedger:
-        """Accrue the ledger up to now, replayed state ends included; read counters after this."""
-        if self._round is not None:
+        """Bring the ledger up to now; read counters after this.
+
+        A duty-cycled radio replays its state ends first. The CPU's ACTIVE
+        ticks, and an always-on radio's TX ticks, are the sums charged and
+        sent less what lies past now; the rest of the time is LPM and RX.
+        """
+        cpu = self._cpu_charged - max(0, self._cpu_busy_until - now)
+        if self._round is None:
+            self.ledger.summed(now, cpu, self._tx_airtime - max(0, self._tx_until - now))
+        else:
             self._catch_up(now)
-        self._end_cpu_window(now)
+            self.ledger.summed(now, cpu)
         return self.ledger.settle(now)
 
     # -- outbound pipeline ------------------------------------------------
@@ -293,8 +308,11 @@ class Node:
             self.engine.call_at(self._rx_hold_until, self._start_tx, frame)
             return
         air = airtime_ticks(frame.length_bytes)
-        self._check_until = min(self._check_until, now)  # abort any idle check
-        self.ledger.transition(RadioState.TX, now)
+        if self._round is None:
+            self._tx_airtime += air
+        else:
+            self._check_until = min(self._check_until, now)  # abort any idle check
+            self.ledger.transition(RadioState.TX, now)
         self._tx_until = now + air
         self.sent_frames.append(frame)
         receivers = self.medium.broadcast(frame, now)
@@ -303,21 +321,22 @@ class Node:
     def _end_tx(self, frame: RadioFrame, receivers: list["Node"]) -> None:
         for node in receivers:
             node.deliver(frame)  # the frame ends with the TX, before anything else at this tick
-        now = self.engine.now
         if self._round is not None:
+            now = self.engine.now
             self._catch_up(now)
-        self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
+            self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
         self._pipeline_busy = False
         self._pump()
 
     # -- inbound path ------------------------------------------------------
 
     def hear(self, now: TickTime, air: int) -> bool:
-        """Accrue RX for a frame spanning [now, now + air); False if deaf (mid-TX).
+        """Hear a frame spanning [now, now + air); False if deaf (mid-TX).
 
         The radio is held on until the frame ends. A duty-cycled node queues
         the frame as RadioMedium.broadcast does for its bystanders, and
-        replays it at once.
+        replays it at once. An always-on radio is in RX whenever it is not
+        sending, so only its receive hold moves.
         """
         if self._tx_until > now:
             return False
@@ -325,8 +344,6 @@ class Node:
             self._heard.append((now, air, self._round.last == now))
             self._catch_up(now)
             return True
-        if self.ledger.radio_state is not RadioState.RX:
-            self.ledger.transition(RadioState.RX, now)
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
@@ -435,30 +452,22 @@ class Node:
         ledger.replayed_radio(state, since, rx)
 
     def _listening(self, now: TickTime) -> bool:
-        """Whether the radio stays in RX when it is not sending: no duty
-        cycling, or a check or an inbound frame in progress."""
-        return not self.duty.enabled or self._check_until > now or self._rx_hold_until > now
+        """Whether a duty-cycled radio stays in RX when it is not sending: a
+        check or an inbound frame in progress."""
+        return self._check_until > now or self._rx_hold_until > now
 
     # -- CPU accounting ----------------------------------------------------
 
     def charge_cpu(self, ticks: int) -> TickTime:
         """Occupy the CPU for `ticks`, queued behind any current busy window.
 
-        Returns the tick at which this charge completes. Windows coalesce:
-        the CPU stays ACTIVE from the first charge until the queue drains. A
-        window that ended at or before now is closed first, at its own end.
+        Returns the tick at which this charge completes. Windows coalesce, so
+        the CPU is ACTIVE for exactly the ticks charged; settle() counts them
+        without any state change here.
         """
-        now = self.engine.now
-        self._end_cpu_window(now)
-        if self.ledger.cpu_state is CpuState.LPM:
-            self.ledger.transition(CpuState.ACTIVE, now)
-            self._cpu_busy_until = now
-        self._cpu_busy_until += ticks
+        self._cpu_busy_until = max(self._cpu_busy_until, self.engine.now) + ticks
+        self._cpu_charged += ticks
         return self._cpu_busy_until
-
-    def _end_cpu_window(self, now: TickTime) -> None:
-        if self._cpu_busy_until <= now and self.ledger.cpu_state is CpuState.ACTIVE:
-            self.ledger.transition(CpuState.LPM, self._cpu_busy_until)
 
 
 class DatagramTransport:

@@ -18,7 +18,7 @@ DEFAULT_RUN_COUNTS = {
     "protocols.step": 336,
     "protocols.encode": 166,
     "protocols.decode": 248,
-    "energy.transition": 2114,
+    "energy.transition": 702,
     "medium.broadcast": 351,
     "engine.events": 1173,
 }

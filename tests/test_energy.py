@@ -63,6 +63,31 @@ def test_settle_backwards_rejected():
     ledger.settle(50)  # same instant is a no-op
 
 
+def test_summed_splits_the_time_since_the_last_write():
+    ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX,
+                            last_cpu_change=100, last_radio_change=100)
+    ledger.summed(150, cpu_ticks=20, tx_ticks=5)
+    ledger.summed(150, cpu_ticks=20, tx_ticks=5)  # same instant is a no-op
+    ledger.summed(200, cpu_ticks=30)
+    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (30, 70, 5, 45)
+    ledger.settle(210)
+    assert (ledger.lpm_ticks, ledger.rx_ticks) == (80, 105)
+
+
+@pytest.mark.parametrize("now, cpu_ticks, tx_ticks", [
+    (49, 0, None),   # before the last write
+    (60, 16, None),  # more ACTIVE ticks than have passed
+    (60, 4, None),   # fewer ACTIVE ticks than already counted
+    (60, 5, 13),     # likewise for TX ticks
+    (60, 5, 1),
+])
+def test_summed_rejects_a_history_that_goes_backwards(now, cpu_ticks, tx_ticks):
+    ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX)
+    ledger.summed(50, cpu_ticks=5, tx_ticks=2)
+    with pytest.raises(ValueError):
+        ledger.summed(now, cpu_ticks, tx_ticks)
+
+
 def test_transition_rejects_wrong_state_type():
     ledger = EnergestLedger()
     for value in ("rx", None, 1):

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from motesim.energy import RadioState
+from motesim.energy import CpuState, EnergestLedger, RadioState
 from motesim.engine import Engine, seconds_to_ticks
 from motesim.medium import (
     BROADCAST,
@@ -326,6 +328,171 @@ def test_tx_ticks_equal_sum_of_sent_airtimes():
         node.settle(engine.now)
         expected = sum(airtime_ticks(f.length_bytes) for f in node.sent_frames)
         assert node.ledger.tx_ticks == expected
+
+
+# ---------------------------------------------------------------------------
+# CPU and always-on radio books: closed form against state transitions
+
+class TransitionBooks:
+    """Reference for the closed-form counters: a ledger driven by transitions.
+
+    A charge that finds the CPU in LPM turns it ACTIVE, and the merged busy
+    window goes back to LPM at its own end, closed at the next charge or
+    settle. A radio without duty cycling goes TX at each start of TX and
+    back to RX at its end, or when it hears a frame.
+    """
+
+    def __init__(self, now):
+        self.ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX,
+                                     last_cpu_change=now, last_radio_change=now)
+        self.busy_until = now
+
+    def charge(self, now, ticks):
+        self._end_window(now)
+        if self.ledger.cpu_state is CpuState.LPM:
+            self.ledger.transition(CpuState.ACTIVE, now)
+            self.busy_until = now
+        self.busy_until += ticks
+        return self.busy_until
+
+    def settle(self, now):
+        self._end_window(now)
+        return self.ledger.settle(now)
+
+    def _end_window(self, now):
+        if self.busy_until <= now and self.ledger.cpu_state is CpuState.ACTIVE:
+            self.ledger.transition(CpuState.LPM, self.busy_until)
+
+
+class TransitionNode(Node):
+    """A node without duty cycling that also keeps TransitionBooks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reference = TransitionBooks(self.engine.now)
+
+    def charge_cpu(self, ticks):
+        end = super().charge_cpu(ticks)
+        assert end == self.reference.charge(self.engine.now, ticks)
+        return end
+
+    def _start_tx(self, frame):
+        sent = len(self.sent_frames)
+        super()._start_tx(frame)
+        if len(self.sent_frames) > sent:
+            self.reference.ledger.transition(RadioState.TX, self.engine.now)
+
+    def _end_tx(self, frame, receivers):
+        super()._end_tx(frame, receivers)
+        self.reference.ledger.transition(RadioState.RX, self.engine.now)
+
+    def hear(self, now, air):
+        heard = super().hear(now, air)
+        if heard:
+            self.reference.ledger.transition(RadioState.RX, now)
+        return heard
+
+
+def books(ledger):
+    return ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks
+
+
+def assert_books_match(node):
+    now = node.engine.now
+    assert books(node.settle(now)) == books(node.reference.settle(now))
+
+
+def test_node_built_mid_run_books_nothing_before_it_exists():
+    engine = Engine()
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
+    engine.run(1000)
+    node = Node("a", engine, medium, NO_DUTY)
+    engine.run(3000)
+    assert books(node.settle(engine.now)) == (0, 2000, 0, 2000)
+
+
+# Steps of a CPU program: (gap, ticks). The gap is the ticks to wait first, or
+# None to wait for the end of the busy window (at once if idle); ticks is the
+# charge, or None to settle.
+CPU_STEPS = st.tuples(st.one_of(st.none(), st.integers(0, 80)),
+                      st.one_of(st.none(), st.integers(0, 60)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(CPU_STEPS, max_size=30), st.integers(0, 3000))
+# zero-tick charge, settles mid-window and twice at one tick, charges at a window's end
+@example([(0, 0), (0, None), (None, 10), (5, None), (None, 7), (None, None), (None, None)], 0)
+def test_cpu_books_match_the_busy_window_rule(program, created):
+    engine = Engine()
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
+    engine.run(created)
+    node = TransitionNode("a", engine, medium, NO_DUTY)
+    for gap, ticks in program:
+        engine.run(max(engine.now, node.reference.busy_until) if gap is None
+                   else engine.now + gap)
+        if ticks is None:
+            assert_books_match(node)
+        else:
+            node.charge_cpu(ticks)
+    engine.run(engine.now + 100)
+    assert_books_match(node)
+
+
+# Steps of a radio program, each at a tick of a busy first 600: a datagram of
+# some payload bytes, a frame of some airtime heard directly, or a settle of
+# every node.
+RADIO_STEPS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 90)),
+    st.tuples(st.just("hear"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 200)),
+    st.tuples(st.just("settle"), st.integers(0, 600)),
+)
+
+
+def play_radio_program(program, cpu_cost):
+    """Run steps on three always-on nodes in range of each other, each step
+    scheduled before the run, so it precedes same-tick events of the run.
+    Returns the nodes and what each direct hear returned."""
+    engine = Engine()
+    positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0)}
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    nodes = {nid: TransitionNode(nid, engine, medium, NO_DUTY, cpu_cost) for nid in positions}
+    heard = []
+    for kind, tick, *args in program:
+        if kind == "send":
+            node_id, size = args
+            dst = BROADCAST if size % 3 == 0 else "b" if node_id == "a" else "a"
+            engine.call_at(tick, nodes[node_id].datagrams.send, dst, bytes(size))
+        elif kind == "hear":
+            node_id, air = args
+            engine.call_at(tick, lambda node, air: heard.append(node.hear(engine.now, air)),
+                           nodes[node_id], air)
+        else:
+            engine.call_at(tick, lambda: [assert_books_match(node) for node in nodes.values()])
+    engine.run(5000)
+    for node in nodes.values():
+        assert_books_match(node)
+    return nodes, heard
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(RADIO_STEPS, max_size=25),
+       st.sampled_from((CpuCostModel(), CpuCostModel(0, 0))))
+def test_always_on_radio_books_match_transitions(program, cpu_cost):
+    play_radio_program(program, cpu_cost)
+
+
+def test_always_on_radio_settled_mid_tx_and_hearing_as_its_tx_ends():
+    air = airtime_ticks(20 + 21 + 9)
+    nodes, heard = play_radio_program([
+        ("send", 0, "a", 20),       # no CPU cost: a sends over [0, air)
+        ("settle", air // 2),       # mid-TX
+        ("hear", air, "a", 10),     # a hears at the tick its TX ends, before the end of TX runs
+        ("settle", air),
+        ("settle", air + 5),
+    ], CpuCostModel(0, 0))
+    assert heard == [True]
+    assert books(nodes["a"].ledger) == (0, 5000, air, 5000 - air)
+    assert books(nodes["b"].ledger) == (0, 5000, 0, 5000)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every config that ScenarioConfig.validate() accepts must run to the end, with
 cpu + lpm ticks equal to the interval and tx + rx ticks at most the interval on
-every node and in every interval, and no message that its receiver cannot
+every node and in every interval (equal to it without duty cycling), TX ticks
+equal to the airtime each node sent, and no message that its receiver cannot
 parse. Every other config must fail with a ScenarioError before the run starts.
 
 Nodes account their radio lazily, so when a node settles must not matter:
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from motesim import harness
 from motesim.engine import seconds_to_ticks
 from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
-from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium
+from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium, airtime_ticks
 
 # Characters that split an HTTP request line or header, or an ini value.
 TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
@@ -58,6 +59,10 @@ def test_accepted_configs_run_to_the_end_with_sound_books(config):
     for trace in sim.traces.values():
         assert [row.cpu_delta + row.lpm_delta for row in trace.rows] == [interval_ticks] * 2
         assert all(row.tx_delta + row.rx_delta <= interval_ticks for row in trace.rows)
+        if not config.duty.enabled:  # an always-on radio is in TX or RX throughout
+            assert [row.tx_delta + row.rx_delta for row in trace.rows] == [interval_ticks] * 2
+    for node in sim.nodes.values():
+        assert node.ledger.tx_ticks == sum(airtime_ticks(f.length_bytes) for f in node.sent_frames)
     assert "parse-error" not in [kind for _, _, kind, _ in sim.events]
     for runtime in sim.runtimes.values():  # every awaited ack still has its timer armed
         assert set(getattr(runtime.state, "unacked", ())) <= runtime.timers.keys()
