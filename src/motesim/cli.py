@@ -88,6 +88,10 @@ def _label_for(spec: str, used: set[str]) -> tuple[str, str]:
     if not label or label in used:
         raise ScenarioError(f"duplicate or empty label for {spec!r}; "
                             f"use LABEL=path to disambiguate")
+    if any(char == "," or char.isspace() for char in label):
+        raise ScenarioError(f"label {label!r} for {spec!r} holds a comma or whitespace, "
+                            f"which the report and plot files separate fields by; "
+                            f"use LABEL=path to name it")
     return label, path
 
 

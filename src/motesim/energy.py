@@ -9,11 +9,6 @@ from typing import Optional
 from .engine import TickTime
 
 
-class CpuState(Enum):
-    ACTIVE = "active"
-    LPM = "lpm"
-
-
 class RadioState(Enum):
     OFF = "off"
     TX = "tx"
@@ -22,40 +17,47 @@ class RadioState(Enum):
 
 @dataclass
 class EnergestLedger:
-    """Cumulative tick counters per hardware state, accrued lazily on settle()."""
+    """Cumulative tick counters per hardware state.
+
+    Each settle() takes over the CPU's ACTIVE total, counted by its owner.
+    The radio accrues ticks into its state tag between transitions, or, if
+    it is never off, takes over a TX total at settle() like the CPU.
+    """
 
     cpu_ticks: int = 0
     lpm_ticks: int = 0
     tx_ticks: int = 0
     rx_ticks: int = 0
-    cpu_state: CpuState = CpuState.ACTIVE
     radio_state: RadioState = RadioState.OFF
-    last_cpu_change: TickTime = 0
+    settled_at: TickTime = 0
     last_radio_change: TickTime = 0
 
-    def settle(self, now: TickTime) -> "EnergestLedger":
-        """Accrue ticks since the last state changes into the current states."""
-        if now < self.last_cpu_change or now < self.last_radio_change:
-            raise ValueError(f"settle at tick {now} precedes a recorded state change")
-        self._accrue_cpu(now)
-        self._accrue_radio(now)
+    def settle(self, now: TickTime, cpu_ticks: int,
+               tx_ticks: Optional[int] = None) -> "EnergestLedger":
+        """Book up to now: cpu_ticks ACTIVE in all, and the rest of the time
+        since the last settle LPM. With tx_ticks, likewise TX and RX for a
+        radio that is never off; without, the radio accrues its state tag."""
+        cpu = cpu_ticks - self.cpu_ticks
+        if not 0 <= cpu <= now - self.settled_at:
+            raise ValueError(f"CPU history settled at tick {now} goes backwards")
+        if tx_ticks is None:
+            self._accrue_radio(now)
+        else:
+            tx = tx_ticks - self.tx_ticks
+            if not 0 <= tx <= now - self.last_radio_change:
+                raise ValueError(f"radio history settled at tick {now} goes backwards")
+            self.rx_ticks += now - self.last_radio_change - tx
+            self.tx_ticks, self.last_radio_change = tx_ticks, now
+        self.lpm_ticks += now - self.settled_at - cpu
+        self.cpu_ticks, self.settled_at = cpu_ticks, now
         return self
 
-    def transition(self, new_state, now: TickTime) -> "EnergestLedger":
-        """Accrue the domain of new_state (CPU or radio) up to now, then swap
-        its state tag.
-
-        The other domain keeps accruing lazily until its own next change or
-        the next settle(), so sampled totals equal settling both every time.
-        """
-        if isinstance(new_state, CpuState):
-            self._accrue_cpu(now)
-            self.cpu_state = new_state
-        elif isinstance(new_state, RadioState):
-            self._accrue_radio(now)
-            self.radio_state = new_state
-        else:
-            raise ValueError(f"not a CPU or radio state: {new_state!r}")
+    def transition(self, new_state: RadioState, now: TickTime) -> "EnergestLedger":
+        """Accrue the radio up to now, then swap its state tag."""
+        if not isinstance(new_state, RadioState):
+            raise ValueError(f"not a radio state: {new_state!r}")
+        self._accrue_radio(now)
+        self.radio_state = new_state
         return self
 
     def replayed_radio(self, state: RadioState, since: TickTime, rx_ticks: int) -> None:
@@ -66,33 +68,6 @@ class EnergestLedger:
         self.radio_state = state
         self.last_radio_change = since
         self.rx_ticks = rx_ticks
-
-    def summed(self, now: TickTime, cpu_ticks: int, tx_ticks: Optional[int] = None) -> None:
-        """Take over busy totals summed elsewhere up to now: cpu_ticks ACTIVE
-        in all, and the rest of the time since the last write LPM; with
-        tx_ticks, likewise TX and RX for a radio that is never off."""
-        cpu = cpu_ticks - self.cpu_ticks
-        if not 0 <= cpu <= now - self.last_cpu_change:
-            raise ValueError(f"summed CPU history at tick {now} goes backwards")
-        self.lpm_ticks += now - self.last_cpu_change - cpu
-        self.cpu_ticks, self.last_cpu_change = cpu_ticks, now
-        if tx_ticks is None:
-            return
-        tx = tx_ticks - self.tx_ticks
-        if not 0 <= tx <= now - self.last_radio_change:
-            raise ValueError(f"summed radio history at tick {now} goes backwards")
-        self.rx_ticks += now - self.last_radio_change - tx
-        self.tx_ticks, self.last_radio_change = tx_ticks, now
-
-    def _accrue_cpu(self, now: TickTime) -> None:
-        delta = now - self.last_cpu_change
-        if delta < 0:
-            raise ValueError(f"CPU change at tick {now} precedes the last one")
-        if self.cpu_state is CpuState.ACTIVE:
-            self.cpu_ticks += delta
-        else:
-            self.lpm_ticks += delta
-        self.last_cpu_change = now
 
     def _accrue_radio(self, now: TickTime) -> None:
         delta = now - self.last_radio_change

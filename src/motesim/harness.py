@@ -564,11 +564,14 @@ def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
         fields = line.split(",")
         if len(fields) != 6:
             raise ValueError(f"malformed trace row: {line!r}")
-        values = [float(v) for v in fields[1:]]
+        values = [0.0 if fields[0] == "avg" else float(fields[0])]
+        values += [float(v) for v in fields[1:]]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite value in trace row {line!r}")
         if fields[0] == "avg":
-            average = PowerSample(0.0, *values)
+            average = PowerSample(*values)
         else:
-            rows.append(PowerSample(float(fields[0]), *values))
+            rows.append(PowerSample(*values))
     return rows, average
 
 

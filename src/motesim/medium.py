@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .energy import CpuState, EnergestLedger, RadioState
+from .energy import EnergestLedger, RadioState
 from .engine import RTIMER_HZ, Engine, Mark, TickTime, seconds_to_ticks
 
 # CC2420-class radio bit rate.
@@ -236,9 +236,8 @@ class Node:
         self.duty = duty
         self.cpu_cost = cpu_cost
         self.ledger = EnergestLedger(
-            cpu_state=CpuState.LPM,
             radio_state=RadioState.OFF if duty.enabled else RadioState.RX,
-            last_cpu_change=engine.now, last_radio_change=engine.now)
+            settled_at=engine.now, last_radio_change=engine.now)
         self.sent_frames: list[RadioFrame] = []
         self.streams = StreamTransport(self)
         self.datagrams = DatagramTransport(self)
@@ -271,11 +270,9 @@ class Node:
         """
         cpu = self._cpu_charged - max(0, self._cpu_busy_until - now)
         if self._round is None:
-            self.ledger.summed(now, cpu, self._tx_airtime - max(0, self._tx_until - now))
-        else:
-            self._catch_up(now)
-            self.ledger.summed(now, cpu)
-        return self.ledger.settle(now)
+            return self.ledger.settle(now, cpu, self._tx_airtime - max(0, self._tx_until - now))
+        self._catch_up(now)
+        return self.ledger.settle(now, cpu)
 
     # -- outbound pipeline ------------------------------------------------
 

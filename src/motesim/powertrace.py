@@ -53,7 +53,7 @@ def take_sample(
                             RTIMER_HZ, interval_s)
     rx_mw = component_power(deltas["rx"], profile.rx_ma, profile.voltage_v,
                             RTIMER_HZ, interval_s)
-    interval_end_s = now.last_cpu_change / RTIMER_HZ
+    interval_end_s = now.settled_at / RTIMER_HZ
     sample = PowerSample(interval_end_s, cpu_mw, lpm_mw, tx_mw, rx_mw,
                          total_power(cpu_mw, lpm_mw, tx_mw, rx_mw))
     return TraceRow(interval_end_s, deltas["cpu"], deltas["lpm"], deltas["tx"],

@@ -19,6 +19,7 @@ DEFAULT_RUN_COUNTS = {
     "protocols.encode": 166,
     "protocols.decode": 248,
     "energy.transition": 702,
+    "energy.settle": 80,
     "medium.broadcast": 351,
     "engine.events": 1173,
 }

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from motesim.energy import (
-    CpuState,
     CurrentProfile,
     EnergestLedger,
     RadioState,
@@ -20,28 +19,15 @@ from motesim.energy import (
 # ---------------------------------------------------------------------------
 # Ledger
 
-def test_new_ledger_is_zeroed_active_off():
-    ledger = EnergestLedger()
-    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (0, 0, 0, 0)
-    assert ledger.cpu_state is CpuState.ACTIVE
-    assert ledger.radio_state is RadioState.OFF
-
-
 def test_settle_accrues_into_current_states():
     ledger = EnergestLedger()
-    ledger.settle(100)
-    assert ledger.cpu_ticks == 100
-    assert ledger.lpm_ticks == 0
-    assert ledger.tx_ticks == 0 and ledger.rx_ticks == 0
-
-
-def test_cpu_transition_splits_time():
-    ledger = EnergestLedger()
-    ledger.transition(CpuState.LPM, 60)
-    ledger.settle(100)
-    assert ledger.cpu_ticks == 60
-    assert ledger.lpm_ticks == 40
-    assert ledger.cpu_ticks + ledger.lpm_ticks == 100
+    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (0, 0, 0, 0)
+    assert ledger.radio_state is RadioState.OFF
+    ledger.settle(100, cpu_ticks=30)
+    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (30, 70, 0, 0)
+    ledger.transition(RadioState.RX, 100)
+    ledger.settle(160, cpu_ticks=30)
+    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (30, 130, 0, 60)
 
 
 def test_radio_walk_accrues_tx_and_rx():
@@ -49,28 +35,30 @@ def test_radio_walk_accrues_tx_and_rx():
     ledger.transition(RadioState.TX, 10)
     ledger.transition(RadioState.RX, 25)
     ledger.transition(RadioState.OFF, 40)
-    ledger.settle(100)
+    ledger.settle(100, cpu_ticks=0)
     assert ledger.tx_ticks == 15
     assert ledger.rx_ticks == 15
-    assert ledger.cpu_ticks == 100  # radio walk leaves the CPU domain alone
+    assert ledger.cpu_ticks == 0 and ledger.lpm_ticks == 100  # the walk leaves the CPU alone
 
 
 def test_settle_backwards_rejected():
     ledger = EnergestLedger()
-    ledger.settle(50)
+    ledger.settle(50, cpu_ticks=0)
     with pytest.raises(ValueError):
-        ledger.settle(49)
-    ledger.settle(50)  # same instant is a no-op
+        ledger.settle(49, cpu_ticks=0)
+    ledger.settle(50, cpu_ticks=0)  # same instant is a no-op
+    ledger.transition(RadioState.RX, 70)
+    with pytest.raises(ValueError):
+        ledger.settle(60, cpu_ticks=0)  # before the last radio change
 
 
 def test_summed_splits_the_time_since_the_last_write():
-    ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX,
-                            last_cpu_change=100, last_radio_change=100)
-    ledger.summed(150, cpu_ticks=20, tx_ticks=5)
-    ledger.summed(150, cpu_ticks=20, tx_ticks=5)  # same instant is a no-op
-    ledger.summed(200, cpu_ticks=30)
-    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (30, 70, 5, 45)
-    ledger.settle(210)
+    ledger = EnergestLedger(radio_state=RadioState.RX, settled_at=100, last_radio_change=100)
+    ledger.settle(150, cpu_ticks=20, tx_ticks=5)
+    ledger.settle(150, cpu_ticks=20, tx_ticks=5)  # same instant is a no-op
+    ledger.settle(200, cpu_ticks=30, tx_ticks=5)
+    assert (ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks) == (30, 70, 5, 95)
+    ledger.settle(210, cpu_ticks=30)  # without a TX total the radio accrues its tag
     assert (ledger.lpm_ticks, ledger.rx_ticks) == (80, 105)
 
 
@@ -82,33 +70,35 @@ def test_summed_splits_the_time_since_the_last_write():
     (60, 5, 1),
 ])
 def test_summed_rejects_a_history_that_goes_backwards(now, cpu_ticks, tx_ticks):
-    ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX)
-    ledger.summed(50, cpu_ticks=5, tx_ticks=2)
+    ledger = EnergestLedger(radio_state=RadioState.RX)
+    ledger.settle(50, cpu_ticks=5, tx_ticks=2)
+    before = ledger.snapshot()
     with pytest.raises(ValueError):
-        ledger.summed(now, cpu_ticks, tx_ticks)
+        ledger.settle(now, cpu_ticks, tx_ticks)
+    assert ledger == before  # a rejected settle books nothing
 
 
 def test_transition_rejects_wrong_state_type():
     ledger = EnergestLedger()
-    for value in ("rx", None, 1):
+    for value in ("rx", None, 1, "active"):
         with pytest.raises(ValueError):
             ledger.transition(value, 5)
-    assert ledger.cpu_state is CpuState.ACTIVE and ledger.radio_state is RadioState.OFF
+    assert ledger.radio_state is RadioState.OFF and ledger.last_radio_change == 0
 
 
 def test_transition_to_same_state_is_harmless():
     ledger = EnergestLedger()
     ledger.transition(RadioState.OFF, 30)
-    ledger.settle(60)
+    ledger.settle(60, cpu_ticks=0)
     assert ledger.tx_ticks == 0 and ledger.rx_ticks == 0
-    assert ledger.cpu_ticks == 60
+    assert ledger.lpm_ticks == 60
 
 
 def test_snapshot_is_independent_copy():
     ledger = EnergestLedger()
-    ledger.settle(10)
+    ledger.settle(10, cpu_ticks=10)
     snap = ledger.snapshot()
-    ledger.settle(90)
+    ledger.settle(90, cpu_ticks=90)
     assert snap.cpu_ticks == 10
     assert ledger.cpu_ticks == 90
 
@@ -119,26 +109,24 @@ def test_random_walk_conserves_every_tick():
     for _ in range(200):
         ledger = EnergestLedger()
         now = 0
-        cpu_time = {CpuState.ACTIVE: 0, CpuState.LPM: 0}
+        active = 0
         radio_time = {RadioState.OFF: 0, RadioState.TX: 0, RadioState.RX: 0}
-        cpu, radio = CpuState.ACTIVE, RadioState.OFF
+        radio = RadioState.OFF
         for _ in range(rng.randint(1, 30)):
             step = rng.randint(0, 50)
-            cpu_time[cpu] += step
+            active += rng.randint(0, step)
             radio_time[radio] += step
             now += step
-            if rng.random() < 0.5:
-                cpu = rng.choice(list(CpuState))
-                ledger.transition(cpu, now)
+            if rng.random() < 0.3:
+                ledger.settle(now, active)
             else:
                 radio = rng.choice(list(RadioState))
                 ledger.transition(radio, now)
-        ledger.settle(now)
-        assert ledger.cpu_ticks == cpu_time[CpuState.ACTIVE]
-        assert ledger.lpm_ticks == cpu_time[CpuState.LPM]
+        ledger.settle(now, active)
+        assert ledger.cpu_ticks == active
+        assert ledger.cpu_ticks + ledger.lpm_ticks == now
         assert ledger.tx_ticks == radio_time[RadioState.TX]
         assert ledger.rx_ticks == radio_time[RadioState.RX]
-        assert ledger.cpu_ticks + ledger.lpm_ticks == now
         assert ledger.tx_ticks + ledger.rx_ticks <= now
 
 

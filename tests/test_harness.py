@@ -542,3 +542,38 @@ def test_cli_compare_requires_avg_row(tmp_path, capsys):
     rc = main(["compare", str(path), str(other)])
     assert rc == 1
     assert "no avg row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["avg,0.1,0.0,0.1,0.1,nan", "avg,inf,0,0,0,0",
+                                 "nan,0,0,0,0,0", "10,0,-inf,0,0,0"])
+def test_parse_trace_csv_rejects_non_finite_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(repr(row))):
+        parse_trace_csv(path)
+
+
+def test_cli_compare_rejects_a_non_finite_average_in_either_order(tmp_path, capsys):
+    good = _write_short_trace(tmp_path, "mqtt", "mqtt.csv")
+    run = _write_short_trace(tmp_path, "coap", "run.csv")
+    lines = good.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for specs in ([str(bad), str(good), f"c={run}"], [str(run), str(bad), str(good)]):
+        assert main(["compare", *specs]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "nan.csv" in err
+
+
+@pytest.mark.parametrize("spec", ["a,b={path}", "a b={path}", "{spaced}"])
+def test_cli_compare_rejects_labels_with_a_comma_or_whitespace(tmp_path, capsys, spec):
+    path = _write_short_trace(tmp_path, "mqtt", "mqtt.csv")
+    spaced = tmp_path / "my run.csv"
+    spaced.write_bytes(path.read_bytes())
+    report = tmp_path / "report.csv"
+    rc = main(["compare", spec.format(path=path, spaced=spaced), str(path),
+               "--report", str(report)])
+    assert rc == 1
+    assert "LABEL=path" in capsys.readouterr().err
+    assert not report.exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motesim.energy import CpuState, EnergestLedger, RadioState
+from motesim.energy import EnergestLedger, RadioState
 from motesim.engine import Engine, seconds_to_ticks
 from motesim.medium import (
     BROADCAST,
@@ -334,34 +334,38 @@ def test_tx_ticks_equal_sum_of_sent_airtimes():
 # CPU and always-on radio books: closed form against state transitions
 
 class TransitionBooks:
-    """Reference for the closed-form counters: a ledger driven by transitions.
+    """Reference for the closed-form counters: books kept by state changes.
 
     A charge that finds the CPU in LPM turns it ACTIVE, and the merged busy
     window goes back to LPM at its own end, closed at the next charge or
-    settle. A radio without duty cycling goes TX at each start of TX and
-    back to RX at its end, or when it hears a frame.
+    settle; the ACTIVE spans are added up here. A radio without duty cycling
+    goes TX at each start of TX and back to RX at its end, or when it hears
+    a frame, by ledger transitions.
     """
 
     def __init__(self, now):
-        self.ledger = EnergestLedger(cpu_state=CpuState.LPM, radio_state=RadioState.RX,
-                                     last_cpu_change=now, last_radio_change=now)
+        self.ledger = EnergestLedger(radio_state=RadioState.RX,
+                                     settled_at=now, last_radio_change=now)
         self.busy_until = now
+        self.active_since = None  # start of the open ACTIVE span; None in LPM
+        self.active_ticks = 0  # ticks of the closed ACTIVE spans
 
     def charge(self, now, ticks):
         self._end_window(now)
-        if self.ledger.cpu_state is CpuState.LPM:
-            self.ledger.transition(CpuState.ACTIVE, now)
-            self.busy_until = now
+        if self.active_since is None:
+            self.active_since = self.busy_until = now
         self.busy_until += ticks
         return self.busy_until
 
     def settle(self, now):
         self._end_window(now)
-        return self.ledger.settle(now)
+        open_span = 0 if self.active_since is None else now - self.active_since
+        return self.ledger.settle(now, self.active_ticks + open_span)
 
     def _end_window(self, now):
-        if self.busy_until <= now and self.ledger.cpu_state is CpuState.ACTIVE:
-            self.ledger.transition(CpuState.LPM, self.busy_until)
+        if self.busy_until <= now and self.active_since is not None:
+            self.active_ticks += self.busy_until - self.active_since
+            self.active_since = None
 
 
 class TransitionNode(Node):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from motesim.energy import (
-    CpuState,
     CurrentProfile,
     EnergestLedger,
     PowerSample,
@@ -17,8 +16,7 @@ from motesim.powertrace import LedgerRegression, summarize, take_sample
 def _ledger_at_10s_mostly_lpm():
     # 1 s active then 9 s LPM, radio off throughout
     ledger = EnergestLedger()
-    ledger.transition(CpuState.LPM, 32768)
-    ledger.settle(327680)
+    ledger.settle(327680, cpu_ticks=32768)
     return ledger
 
 
@@ -44,7 +42,7 @@ def test_take_sample_with_radio_activity():
     now.transition(RadioState.TX, 0)
     now.transition(RadioState.RX, 16384)
     now.transition(RadioState.OFF, 49152)
-    now.settle(327680)
+    now.settle(327680, cpu_ticks=0)
     row = take_sample(prev, now, profile, 10.0)
     assert row.tx_delta == 16384
     assert row.rx_delta == 32768
@@ -55,10 +53,9 @@ def test_take_sample_with_radio_activity():
 def test_take_sample_diffs_against_previous_snapshot():
     profile = CurrentProfile()
     first = EnergestLedger()
-    first.settle(32768)
+    first.settle(32768, cpu_ticks=32768)
     snap = first.snapshot()
-    first.transition(CpuState.LPM, 32768)
-    first.settle(65536)
+    first.settle(65536, cpu_ticks=32768)
     row = take_sample(snap, first, profile, 1.0)
     assert row.cpu_delta == 0
     assert row.lpm_delta == 32768
@@ -68,7 +65,7 @@ def test_take_sample_diffs_against_previous_snapshot():
 def test_counter_regression_is_an_error():
     profile = CurrentProfile()
     ahead = EnergestLedger()
-    ahead.settle(1000)
+    ahead.settle(1000, cpu_ticks=1000)
     behind = EnergestLedger()
     with pytest.raises(LedgerRegression):
         take_sample(ahead, behind, profile, 1.0)
