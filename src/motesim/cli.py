@@ -112,7 +112,7 @@ def _cmd_compare(args) -> int:
         if name == best:
             note = "best"
         else:
-            note = f"+{report.deltas[(name, best)]['total_mw'] * 100.0:.1f}% vs {best}"
+            note = f"+{report.vs_best[name] * 100.0:.1f}% vs {best}"
         print(f"{rank}. {name}: {sample.total_mw:.9f} mW ({note})")
     if args.report:
         write_report_csv(report, args.report)

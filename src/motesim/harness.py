@@ -35,7 +35,9 @@ from .protocols.mqttsn import GatewayState, SnClientState, gateway_handle, mqtts
 
 PROTOCOLS = ("mqtt", "mqtt-sn", "coap", "http")
 
-CSV_HEADER = "time_s,cpu_mw,lpm_mw,tx_mw,rx_mw,total_mw"
+# The five power columns of the trace CSV, the report and the plot data.
+_COLUMNS = ("cpu_mw", "lpm_mw", "tx_mw", "rx_mw", "total_mw")
+CSV_HEADER = ",".join(("time_s", *_COLUMNS))
 
 
 class ScenarioError(ValueError):
@@ -531,11 +533,17 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 # ---------------------------------------------------------------------------
 # CSV trace I/O
 
-def _format_row(time_label: str, sample: PowerSample) -> str:
+def _columns(sample: PowerSample, sep: str) -> str:
+    """The five power columns of one sample, in `_COLUMNS` order, 9 decimals each."""
     return (
-        f"{time_label},{sample.cpu_mw:.9f},{sample.lpm_mw:.9f},"
-        f"{sample.tx_mw:.9f},{sample.rx_mw:.9f},{sample.total_mw:.9f}"
+        f"{sample.cpu_mw:.9f}{sep}{sample.lpm_mw:.9f}{sep}{sample.tx_mw:.9f}{sep}"
+        f"{sample.rx_mw:.9f}{sep}{sample.total_mw:.9f}"
     )
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_csv(trace: Trace, path) -> None:
@@ -546,14 +554,19 @@ def write_csv(trace: Trace, path) -> None:
     for row in trace.rows:
         end_s = row.interval_end_s  # exact: integers bare, others by round-trip repr
         label = f"{end_s:.0f}" if end_s.is_integer() else repr(end_s)
-        lines.append(_format_row(label, row.sample))
-    lines.append(_format_row("avg", trace.avg))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        lines.append(f"{label},{_columns(row.sample, ',')}")
+    lines.append(f"avg,{_columns(trace.avg, ',')}")
+    _write_lines(path, lines)
 
 
 def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
-    """Read a trace CSV back into samples; returns (rows, avg_or_None)."""
+    """Read a trace CSV back into samples; returns (rows, avg_or_None).
+
+    Rejects, naming the file and the row, what `write_csv` never writes: a
+    non-finite or negative number, a total that is not the sum of its four
+    columns (give or take the rounding of five 9-decimal fields), and any row
+    after the `avg` row.
+    """
     rows: list[PowerSample] = []
     average: Optional[PowerSample] = None
     with open(path, "r", newline="") as handle:
@@ -564,10 +577,20 @@ def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
         fields = line.split(",")
         if len(fields) != 6:
             raise ValueError(f"malformed trace row: {line!r}")
-        values = [0.0 if fields[0] == "avg" else float(fields[0])]
-        values += [float(v) for v in fields[1:]]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: non-finite value in trace row {line!r}")
+        values = [0.0 if fields[0] == "avg" else float(fields[0]), *map(float, fields[1:])]
+        _, cpu, lpm, tx, rx, total = values
+        if average is not None:
+            problem = "comes after the avg row"
+        elif not all(math.isfinite(v) for v in values):
+            problem = "non-finite value"
+        elif min(values) < 0:
+            problem = "negative value"
+        elif not math.isclose(cpu + lpm + tx + rx, total, rel_tol=1e-12, abs_tol=3e-9):
+            problem = "total is not the sum of its columns"
+        else:
+            problem = ""
+        if problem:
+            raise ValueError(f"{path}: trace row {line!r}: {problem}")
         if fields[0] == "avg":
             average = PowerSample(*values)
         else:
@@ -582,65 +605,40 @@ def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
 class ComparisonReport:
     averages: dict[str, PowerSample]
     ranking: list[str]
-    deltas: dict[tuple[str, str], dict[str, float]]
-
-
-_DELTA_COLUMNS = ("cpu_mw", "lpm_mw", "tx_mw", "rx_mw", "total_mw")
+    vs_best: dict[str, float]
 
 
 def compare(averages: dict[str, PowerSample]) -> ComparisonReport:
-    """Rank protocols by average total power and compute pairwise deltas.
+    """Rank protocols by average total power and give each total relative to the best.
 
-    Deltas are fractional: (a - b) / b per state column and total. Ties in
-    the ranking break alphabetically.
+    `vs_best[name]` is (total - best) / best; with a best total of 0 it is inf
+    for a positive total and 0.0 otherwise. Ties in the ranking break
+    alphabetically.
     """
     if len(averages) < 2:
         raise ValueError("compare needs at least two protocols")
     ranking = sorted(averages, key=lambda name: (averages[name].total_mw, name))
-    deltas: dict[tuple[str, str], dict[str, float]] = {}
-    for a in averages:
-        for b in averages:
-            if a == b:
-                continue
-            pair = {}
-            for column in _DELTA_COLUMNS:
-                a_value = getattr(averages[a], column)
-                b_value = getattr(averages[b], column)
-                if b_value == 0.0:
-                    pair[column] = math.inf if a_value > 0 else 0.0
-                else:
-                    pair[column] = (a_value - b_value) / b_value
-            deltas[(a, b)] = pair
-    return ComparisonReport(averages, ranking, deltas)
+    best = averages[ranking[0]].total_mw
+    vs_best = {}
+    for name, sample in averages.items():
+        if best == 0.0:
+            vs_best[name] = math.inf if sample.total_mw > 0 else 0.0
+        else:
+            vs_best[name] = (sample.total_mw - best) / best
+    return ComparisonReport(averages, ranking, vs_best)
 
 
 def write_report_csv(report: ComparisonReport, path) -> None:
-    """Ranked averages table; percentage deltas are relative to the best."""
-    best = report.ranking[0]
-    lines = ["protocol,rank,cpu_mw,lpm_mw,tx_mw,rx_mw,total_mw,total_vs_best_pct"]
+    """Ranked averages table; `total_vs_best_pct` is each total relative to the best."""
+    lines = [",".join(("protocol", "rank", *_COLUMNS, "total_vs_best_pct"))]
     for rank, name in enumerate(report.ranking, start=1):
-        sample = report.averages[name]
-        if name == best:
-            delta_pct = 0.0
-        else:
-            delta_pct = report.deltas[(name, best)]["total_mw"] * 100.0
-        lines.append(
-            f"{name},{rank},{sample.cpu_mw:.9f},{sample.lpm_mw:.9f},"
-            f"{sample.tx_mw:.9f},{sample.rx_mw:.9f},{sample.total_mw:.9f},"
-            f"{delta_pct:.1f}"
-        )
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        lines.append(f"{name},{rank},{_columns(report.averages[name], ',')},"
+                     f"{report.vs_best[name] * 100.0:.1f}")
+    _write_lines(path, lines)
 
 
 def emit_plot_data(report: ComparisonReport, path) -> None:
     """Grouped-bar data: one whitespace-separated line per protocol."""
-    lines = ["# protocol cpu_mw lpm_mw tx_mw rx_mw total_mw"]
-    for name in report.ranking:
-        sample = report.averages[name]
-        lines.append(
-            f"{name} {sample.cpu_mw:.9f} {sample.lpm_mw:.9f} {sample.tx_mw:.9f} "
-            f"{sample.rx_mw:.9f} {sample.total_mw:.9f}"
-        )
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    lines = [" ".join(("# protocol", *_COLUMNS))]
+    lines += [f"{name} {_columns(report.averages[name], ' ')}" for name in report.ranking]
+    _write_lines(path, lines)

@@ -15,7 +15,7 @@ class LedgerRegression(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceRow:
-    """Raw tick deltas for one interval plus their power conversion."""
+    """Raw ticks per state for one interval plus their power conversion."""
 
     interval_end_s: float
     cpu_delta: int
@@ -36,28 +36,28 @@ def take_sample(
     Each state's power uses the interval as the runtime, so rows are mutually
     independent and a full-interval state yields exactly I * V.
     """
-    deltas = {
+    ticks = {
         "cpu": now.cpu_ticks - prev.cpu_ticks,
         "lpm": now.lpm_ticks - prev.lpm_ticks,
         "tx": now.tx_ticks - prev.tx_ticks,
         "rx": now.rx_ticks - prev.rx_ticks,
     }
-    for name, delta in deltas.items():
+    for name, delta in ticks.items():
         if delta < 0:
             raise LedgerRegression(f"{name} counter decreased by {-delta} ticks")
-    cpu_mw = component_power(deltas["cpu"], profile.cpu_active_ma, profile.voltage_v,
+    cpu_mw = component_power(ticks["cpu"], profile.cpu_active_ma, profile.voltage_v,
                              RTIMER_HZ, interval_s)
-    lpm_mw = component_power(deltas["lpm"], profile.lpm_ma, profile.voltage_v,
+    lpm_mw = component_power(ticks["lpm"], profile.lpm_ma, profile.voltage_v,
                              RTIMER_HZ, interval_s)
-    tx_mw = component_power(deltas["tx"], profile.tx_ma, profile.voltage_v,
+    tx_mw = component_power(ticks["tx"], profile.tx_ma, profile.voltage_v,
                             RTIMER_HZ, interval_s)
-    rx_mw = component_power(deltas["rx"], profile.rx_ma, profile.voltage_v,
+    rx_mw = component_power(ticks["rx"], profile.rx_ma, profile.voltage_v,
                             RTIMER_HZ, interval_s)
     interval_end_s = now.settled_at / RTIMER_HZ
     sample = PowerSample(interval_end_s, cpu_mw, lpm_mw, tx_mw, rx_mw,
                          total_power(cpu_mw, lpm_mw, tx_mw, rx_mw))
-    return TraceRow(interval_end_s, deltas["cpu"], deltas["lpm"], deltas["tx"],
-                    deltas["rx"], sample)
+    return TraceRow(interval_end_s, ticks["cpu"], ticks["lpm"], ticks["tx"],
+                    ticks["rx"], sample)
 
 
 def summarize(samples: Sequence[PowerSample]) -> PowerSample:

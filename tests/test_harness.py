@@ -385,6 +385,25 @@ def test_parse_trace_csv_rejects_bad_input(tmp_path):
     path.write_text(CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(ValueError, match="malformed"):
         parse_trace_csv(path)
+    for rows, problem in [
+        (["10,-0.1,0,0.2,0,0.1"], "negative value"),
+        (["avg,0.1,0,0,0,0.0"], "not the sum of its columns"),
+        (["10,0.1,0.1,0.1,0.1,0.400000004"], "not the sum of its columns"),
+        (["avg,0.1,0,0,0,0.1", "avg,0.1,0,0,0,0.1"], "after the avg row"),
+        (["avg,0.1,0,0,0,0.1", "10,0.1,0,0,0,0.1"], "after the avg row"),
+    ]:
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=problem) as raised:
+            parse_trace_csv(path)
+        assert str(path) in str(raised.value) and repr(rows[-1]) in str(raised.value)
+
+
+def test_parse_trace_csv_allows_for_rounding_of_the_total(tmp_path):
+    path = tmp_path / "rounded.csv"
+    path.write_text(f"{CSV_HEADER}\n10,0.1,0.1,0.1,0.1,0.400000002\n"
+                    f"avg,0.1,0.1,0.1,0.1,0.399999998\n")
+    rows, average = parse_trace_csv(path)
+    assert rows[0].total_mw == 0.400000002 and average.total_mw == 0.399999998
 
 
 # -- comparison --------------------------------------------------------------
@@ -403,19 +422,16 @@ def test_compare_breaks_ties_alphabetically():
     assert report.ranking == ["alpha", "beta"]
 
 
-def test_compare_pairwise_deltas():
-    report = compare({"x": _avg(1.5, tx=0.3), "y": _avg(1.0, tx=0.2)})
-    assert math.isclose(report.deltas[("x", "y")]["total_mw"], 0.5)
-    assert math.isclose(report.deltas[("y", "x")]["total_mw"], -1 / 3)
-    assert math.isclose(report.deltas[("x", "y")]["tx_mw"], 0.5)
+def test_compare_totals_against_best():
+    report = compare({"x": _avg(1.5), "y": _avg(1.0), "z": _avg(1.0), "w": _avg(1.75)})
+    assert report.vs_best == {"x": 0.5, "y": 0.0, "z": 0.0, "w": 0.75}
 
 
 def test_compare_zero_denominator():
-    report = compare({"x": _avg(1.0, lpm=0.1), "y": _avg(1.0, lpm=0.0)})
-    assert report.deltas[("x", "y")]["lpm_mw"] == math.inf
-    assert report.deltas[("y", "x")]["lpm_mw"] == -1.0
-    flat = compare({"x": _avg(1.0, lpm=0.0), "y": _avg(1.0, lpm=0.0)})
-    assert flat.deltas[("x", "y")]["lpm_mw"] == 0.0
+    report = compare({"x": _avg(0.1), "y": _avg(0.0)})
+    assert report.vs_best == {"x": math.inf, "y": 0.0}
+    flat = compare({"x": _avg(0.0), "y": _avg(0.0)})
+    assert flat.vs_best == {"x": 0.0, "y": 0.0}
 
 
 def test_compare_is_order_independent():
@@ -423,7 +439,7 @@ def test_compare_is_order_independent():
     forward = compare(dict(samples))
     reverse = compare(dict(reversed(list(samples.items()))))
     assert forward.ranking == reverse.ranking
-    assert forward.deltas == reverse.deltas
+    assert forward.vs_best == reverse.vs_best
 
 
 def test_compare_needs_two():
@@ -449,6 +465,38 @@ def test_report_csv_and_plot_data(tmp_path):
     assert plot[1].split()[0] == "fast"
     assert plot[2].split()[0] == "slow"
     assert len(plot[1].split()) == 6
+
+
+def test_compare_outputs_byte_for_byte(tmp_path, capsys):
+    averages = {"sn": "0.040000000,0.000298916,0.060000000,0.400000000,0.500298916",
+                "mqtt": "0.100000000,0.000298916,0.150000000,0.500000000,0.750298916",
+                "coap": "0.050000000,0.000298916,0.050000000,0.400000000,0.500298916"}
+    specs = []
+    for name, columns in averages.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{CSV_HEADER}\n10,{columns}\navg,{columns}\n")
+        specs.append(str(path))
+    report, plot = tmp_path / "report.csv", tmp_path / "plot.dat"
+    assert main(["compare", *specs, "--report", str(report), "--plot", str(plot)]) == 0
+    assert capsys.readouterr().out == (
+        "1. coap: 0.500298916 mW (best)\n"
+        "2. sn: 0.500298916 mW (+0.0% vs coap)\n"
+        "3. mqtt: 0.750298916 mW (+50.0% vs coap)\n"
+        f"report -> {report}\n"
+        f"plot data -> {plot}\n"
+    )
+    assert report.read_bytes() == (
+        b"protocol,rank,cpu_mw,lpm_mw,tx_mw,rx_mw,total_mw,total_vs_best_pct\n"
+        b"coap,1,0.050000000,0.000298916,0.050000000,0.400000000,0.500298916,0.0\n"
+        b"sn,2,0.040000000,0.000298916,0.060000000,0.400000000,0.500298916,0.0\n"
+        b"mqtt,3,0.100000000,0.000298916,0.150000000,0.500000000,0.750298916,50.0\n"
+    )
+    assert plot.read_bytes() == (
+        b"# protocol cpu_mw lpm_mw tx_mw rx_mw total_mw\n"
+        b"coap 0.050000000 0.000298916 0.050000000 0.400000000 0.500298916\n"
+        b"sn 0.040000000 0.000298916 0.060000000 0.400000000 0.500298916\n"
+        b"mqtt 0.100000000 0.000298916 0.150000000 0.500000000 0.750298916\n"
+    )
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -564,6 +612,22 @@ def test_cli_compare_rejects_a_non_finite_average_in_either_order(tmp_path, caps
         assert main(["compare", *specs]) == 1
         err = capsys.readouterr().err
         assert "non-finite" in err and "nan.csv" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-5.0"],
+    lambda lines: lines[:-1] + ["avg,0.1,0,0,0,0.0"],
+    lambda lines: lines + ["avg,0.000000001,0,0,0,0.000000001"],
+], ids=["negative-total", "total-not-the-sum", "second-avg-row"])
+def test_cli_compare_rejects_an_edited_trace_in_either_order(tmp_path, capsys, edit):
+    good = _write_short_trace(tmp_path, "coap", "coap.csv")
+    sn = _write_short_trace(tmp_path, "mqtt-sn", "sn.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(sn.read_text().splitlines())) + "\n")
+    for specs in ([str(bad), str(good)], [str(good), str(bad)]):
+        assert main(["compare", *specs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad.csv" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["a,b={path}", "a b={path}", "{spaced}"])

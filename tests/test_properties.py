@@ -9,6 +9,8 @@ parse. Every other config must fail with a ScenarioError before the run starts.
 Nodes account their radio lazily, so when a node settles must not matter:
 settling some nodes at extra points of the event order leaves every trace row
 as it was.
+
+Every trace that write_csv writes, at any magnitude of power, parses back.
 """
 
 import random
@@ -18,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motesim import harness
+from motesim.energy import PowerSample, total_power
 from motesim.engine import seconds_to_ticks
 from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
 from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium, airtime_ticks
+from motesim.powertrace import TraceRow, summarize
 
 # Characters that split an HTTP request line or header, or an ini value.
 TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
@@ -111,3 +115,18 @@ def test_extra_settles_change_no_trace_row(config, settle_seed):
         settled = simulate(config)
     assert {node_id: trace.rows for node_id, trace in settled.traces.items()} == \
         {node_id: trace.rows for node_id, trace in plain.traces.items()}
+
+
+def test_every_trace_write_csv_writes_parses_back(tmp_path):
+    # columns up to 1e8 mW, spread evenly over the orders of magnitude
+    rng = random.Random(7)
+    path = tmp_path / "trace.csv"
+    for _ in range(300):
+        samples = []
+        for k in range(1, rng.randint(1, 8) + 1):
+            four = [rng.random() * 10.0 ** rng.randint(-9, 8) for _ in range(4)]
+            samples.append(PowerSample(10.0 * k, *four, total_power(*four)))
+        rows = [TraceRow(sample.interval_end_s, 0, 0, 0, 0, sample) for sample in samples]
+        harness.write_csv(harness.Trace("mqtt", "client", rows, summarize(samples)), path)
+        parsed, average = harness.parse_trace_csv(path)
+        assert len(parsed) == len(rows) and average is not None
