@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import TickTime
 
@@ -109,8 +109,7 @@ class CurrentProfile:
             raise ValueError("lpm_ma must be below cpu_active_ma")
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """One trace row: per-state power plus total for one sampling interval."""
 
     interval_end_s: float

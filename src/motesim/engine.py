@@ -5,8 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 # RTimer ticks per second on the modeled platform.
 RTIMER_HZ = 32768
@@ -24,8 +23,7 @@ def seconds_to_ticks(seconds: float) -> TickTime:
     return whole if whole == ticks else whole + 1
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     events_dispatched: int
 
 

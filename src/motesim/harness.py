@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .energy import CurrentProfile, PowerSample
 from .engine import RTIMER_HZ, Engine, seconds_to_ticks
@@ -61,15 +61,15 @@ class ScenarioConfig:
     http_path: str = "/temperature"
     host: str = "server"
     client_id: str = "z1-client"
-    profile: CurrentProfile = field(default_factory=CurrentProfile)
+    profile: CurrentProfile = CurrentProfile()
     range_m: float = 50.0
     tx_success: float = 1.0
     rx_success: float = 1.0
     client_pos: tuple[float, float] = (0.0, 0.0)
     server_pos: tuple[float, float] = (10.0, 0.0)
-    duty: DutyCycleConfig = field(default_factory=DutyCycleConfig)
-    overheads: Overheads = field(default_factory=Overheads)
-    cpu_cost: CpuCostModel = field(default_factory=CpuCostModel)
+    duty: DutyCycleConfig = DutyCycleConfig()
+    overheads: Overheads = Overheads()
+    cpu_cost: CpuCostModel = CpuCostModel()
     report_node: str = ""
 
     def validate(self) -> "ScenarioConfig":
@@ -179,7 +179,7 @@ def _largest_frame(config: ScenarioConfig) -> int:
 
 
 # Scenario-file sections: the flat ScenarioConfig fields split into [scenario]
-# and [radio]; each nested config dataclass gets a section of its own.
+# and [radio]; each nested config record gets a section of its own.
 _RADIO_KEYS = ("range_m", "tx_success", "rx_success", "client_pos", "server_pos")
 _NESTED_SECTIONS = {"profile": "currents", "duty": "duty", "overheads": "overheads",
                     "cpu_cost": "cpu"}
@@ -187,18 +187,18 @@ _NESTED_SECTIONS = {"profile": "currents", "duty": "duty", "overheads": "overhea
 
 def _scenario_items(config: ScenarioConfig):
     """(section, key, value) for every scenario-file key, in field order."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        section = _NESTED_SECTIONS.get(f.name)
+    for name in config.__match_args__:  # the fields of a dataclass or a NamedTuple
+        value = getattr(config, name)
+        section = _NESTED_SECTIONS.get(name)
         if section is None:
-            yield ("radio" if f.name in _RADIO_KEYS else "scenario"), f.name, value
+            yield ("radio" if name in _RADIO_KEYS else "scenario"), name, value
         else:
-            for sub in fields(value):
-                yield section, sub.name, getattr(value, sub.name)
+            for sub in value.__match_args__:
+                yield section, sub, getattr(value, sub)
 
 
 def scenario_schema() -> dict[str, dict[str, object]]:
-    """Section -> key -> default of the scenario file, read off the config dataclasses."""
+    """Section -> key -> default of the scenario file, read off the config records."""
     schema: dict[str, dict[str, object]] = {}
     for section, key, default in _scenario_items(ScenarioConfig()):
         schema.setdefault(section, {})[key] = default
@@ -265,31 +265,31 @@ def load_scenario(path) -> ScenarioConfig:
     base = ScenarioConfig()
     nested = {}
     for name, section in _NESTED_SECTIONS.items():
-        try:
-            nested[name] = replace(getattr(base, name), **values[section])
+        try:  # the nested defaults are their types' defaults
+            nested[name] = type(getattr(base, name))(**values[section])
         except ValueError as err:
             raise ScenarioError(f"{section}: {err}") from None
-    return replace(base, **values["scenario"], **values["radio"], **nested).validate()
+    return ScenarioConfig(**values["scenario"], **values["radio"], **nested).validate()
 
 
 # ---------------------------------------------------------------------------
 # Runtime: binds a state machine to a node and executes its actions
 
-@dataclass
 class Trace:
-    protocol: str
-    node_id: str
-    rows: list[TraceRow]
-    avg: PowerSample
+    def __init__(self, protocol: str, node_id: str, rows: list[TraceRow], avg: PowerSample):
+        self.protocol = protocol
+        self.node_id = node_id
+        self.rows = rows
+        self.avg = avg
 
 
-@dataclass
 class SimRun:
-    config: ScenarioConfig
-    nodes: dict[str, Node]
-    runtimes: dict[str, "ProtocolRuntime"]
-    traces: dict[str, Trace]
-    events: list[tuple[float, str, str, str]]
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.nodes: dict[str, Node] = {}
+        self.runtimes: dict[str, ProtocolRuntime] = {}
+        self.traces: dict[str, Trace] = {}
+        self.events: list[tuple[float, str, str, str]] = []
 
     def report_trace(self) -> Trace:
         """The trace of the reported node: report_node, or else the first client."""
@@ -471,7 +471,7 @@ def simulate(config: ScenarioConfig) -> SimRun:
     positions["server"] = config.server_pos
     link = LinkModel(config.range_m, config.tx_success, config.rx_success, positions)
     medium = RadioMedium(engine, link, config.overheads)
-    sim = SimRun(config=config, nodes={}, runtimes={}, traces={}, events=[])
+    sim = SimRun(config)
 
     (transport, client_step, client_state, client_kind,
      handler, server_state, server_kind) = _protocol_table(config)[config.protocol]
@@ -562,10 +562,10 @@ def write_csv(trace: Trace, path) -> None:
 def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
     """Read a trace CSV back into samples; returns (rows, avg_or_None).
 
-    Rejects, naming the file and the row, what `write_csv` never writes: a
-    non-finite or negative number, a total that is not the sum of its four
-    columns (give or take the rounding of five 9-decimal fields), and any row
-    after the `avg` row.
+    Rejects, naming the file and the row, what `write_csv` never writes: a row
+    without six fields, a field that is not a number, a non-finite or negative
+    number, a total that is not the sum of its four columns (give or take the
+    rounding of five 9-decimal fields), and any row after the `avg` row.
     """
     rows: list[PowerSample] = []
     average: Optional[PowerSample] = None
@@ -576,8 +576,11 @@ def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
     for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 6:
-            raise ValueError(f"malformed trace row: {line!r}")
-        values = [0.0 if fields[0] == "avg" else float(fields[0]), *map(float, fields[1:])]
+            raise ValueError(f"{path}: trace row {line!r}: {len(fields)} fields, not 6")
+        try:
+            values = [0.0 if fields[0] == "avg" else float(fields[0]), *map(float, fields[1:])]
+        except ValueError as err:
+            raise ValueError(f"{path}: trace row {line!r}: {err}") from None
         _, cpu, lpm, tx, rx, total = values
         if average is not None:
             problem = "comes after the avg row"
@@ -601,8 +604,7 @@ def parse_trace_csv(path) -> tuple[list[PowerSample], Optional[PowerSample]]:
 # ---------------------------------------------------------------------------
 # Cross-protocol comparison
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     averages: dict[str, PowerSample]
     ranking: list[str]
     vs_best: dict[str, float]

@@ -12,8 +12,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .energy import EnergestLedger, RadioState
 from .engine import RTIMER_HZ, Engine, Mark, TickTime, seconds_to_ticks
@@ -43,8 +42,7 @@ def airtime_ticks(length_bytes: int) -> int:
     return -(-(length_bytes * 8 * RTIMER_HZ) // RADIO_RATE_BPS)
 
 
-@dataclass(frozen=True)
-class Overheads:
+class Overheads(NamedTuple):
     """Per-frame byte overheads; sizes matter relatively, not absolutely."""
 
     link_bytes: int = 9
@@ -53,8 +51,7 @@ class Overheads:
     mtu_bytes: int = 127
 
 
-@dataclass(frozen=True)
-class DutyCycleConfig:
+class DutyCycleConfig(NamedTuple):
     """Periodic radio wake-ups: check_rate_hz listen windows per second."""
 
     enabled: bool = True
@@ -62,8 +59,7 @@ class DutyCycleConfig:
     check_duration_ticks: int = 32
 
 
-@dataclass(frozen=True)
-class CpuCostModel:
+class CpuCostModel(NamedTuple):
     """CPU-active ticks charged per frame processed, on send and on receive."""
 
     ticks_per_message: int = 30
@@ -74,14 +70,15 @@ class CpuCostModel:
         return self.ticks_per_message + self.ticks_per_byte * pdu
 
 
-@dataclass
 class LinkModel:
     """Unit disk graph: delivery is possible only within range_m."""
 
-    range_m: float = 50.0
-    tx_success: float = 1.0
-    rx_success: float = 1.0
-    positions: dict[str, tuple[float, float]] = field(default_factory=dict)
+    def __init__(self, range_m: float, tx_success: float, rx_success: float,
+                 positions: dict[str, tuple[float, float]]):
+        self.range_m = range_m
+        self.tx_success = tx_success
+        self.rx_success = rx_success
+        self.positions = positions
 
     def tx_passes(self, rng) -> bool:
         return _draw_passes(self.tx_success, rng)
@@ -100,8 +97,7 @@ def _draw_passes(probability: float, rng) -> bool:
     return rng.random() < probability
 
 
-@dataclass(frozen=True)
-class RadioFrame:
+class RadioFrame(NamedTuple):
     """One on-air frame; length_bytes includes the link-layer overhead."""
 
     src: str
@@ -110,33 +106,33 @@ class RadioFrame:
     payload: object  # a StreamSegment, or the bytes of a datagram
 
 
-@dataclass
 class StreamSegment:
     """Stream transport unit: control (syn/synack/ack/fin) or data."""
 
-    kind: str
-    conn_id: int
-    seq: int = 0
-    data: bytes = b""
+    def __init__(self, kind: str, conn_id: int, seq: int = 0, data: bytes = b""):
+        self.kind = kind
+        self.conn_id = conn_id
+        self.seq = seq
+        self.data = data
 
 
 HANDSHAKE_ACK = -1
 
 
-@dataclass
 class StreamConn:
     """Stop-and-wait connection endpoint state."""
 
-    conn_id: int
-    peer: str
-    initiator: bool
-    state: str = "CLOSED"  # CLOSED, SYN_SENT, ESTABLISHED, CLOSING
-    send_seq: int = 0
-    recv_next: int = 0
-    inflight: Optional[StreamSegment] = None
-    retries_left: int = 0
-    rto_event: int = 0
-    sendq: deque = field(default_factory=deque)
+    def __init__(self, conn_id: int, peer: str, initiator: bool):
+        self.conn_id = conn_id
+        self.peer = peer
+        self.initiator = initiator
+        self.state = "SYN_SENT"  # SYN_SENT, ESTABLISHED, CLOSING, CLOSED
+        self.send_seq = 0
+        self.recv_next = 0
+        self.inflight: Optional[StreamSegment] = None
+        self.retries_left = 0
+        self.rto_event = 0
+        self.sendq: deque = deque()
 
 
 class RadioMedium:
@@ -495,12 +491,7 @@ class StreamTransport:
     # -- application surface ------------------------------------------------
 
     def connect(self, dst: str) -> StreamConn:
-        conn = StreamConn(
-            conn_id=next(self.node.medium.conn_ids),
-            peer=dst,
-            initiator=True,
-            state="SYN_SENT",
-        )
+        conn = StreamConn(next(self.node.medium.conn_ids), dst, initiator=True)
         self.conns[conn.conn_id] = conn
         syn = StreamSegment("syn", conn.conn_id)
         conn.sendq.append(syn)
@@ -577,12 +568,7 @@ class StreamTransport:
         conn = self.conns.get(seg.conn_id)
         if seg.kind == "syn":
             if conn is None:
-                conn = StreamConn(
-                    conn_id=seg.conn_id,
-                    peer=src,
-                    initiator=False,
-                    state="SYN_SENT",
-                )
+                conn = StreamConn(seg.conn_id, src, initiator=False)
                 self.conns[conn.conn_id] = conn
             self._send_ctrl(conn, "synack")
             return

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .energy import CurrentProfile, EnergestLedger, PowerSample, component_power, total_power
 from .engine import RTIMER_HZ
@@ -13,8 +12,7 @@ class LedgerRegression(RuntimeError):
     """Cumulative counters moved backwards between two samplings."""
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Raw ticks per state for one interval plus their power conversion."""
 
     interval_end_s: float
@@ -67,9 +65,9 @@ def summarize(samples: Sequence[PowerSample]) -> PowerSample:
         raise ValueError("cannot summarize an empty trace")
     n = len(samples)
     means = []
-    for column in fields(PowerSample):
+    for column in PowerSample._fields:
         total = 0.0
         for sample in samples:  # left to right: sum() compensates from Python 3.12 on
-            total += getattr(sample, column.name)
+            total += getattr(sample, column)
         means.append(total / n)
     return PowerSample(*means)

@@ -4,6 +4,9 @@ Machines update their state in place and return what to do:
 step(state, event) -> actions. All timing and I/O happens in the runtime that
 executes the returned actions.
 
+Actions, events and ClientConfig are immutable NamedTuples, equal only to a
+record of the same type (see typed); copy one with _replace to change it.
+
 Every client resends by one rule, kept in its state's `unacked` dict by timer
 key: `await_ack` sends and arms the timer, `resend` repeats the same message
 each time it fires until a budget runs out, and `acked` ends the wait.
@@ -11,16 +14,24 @@ each time it fires until a budget runs out, and `acked` ends the wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # The one server node every client talks to: MQTT broker, MQTT-SN gateway,
 # CoAP or HTTP origin server.
 SERVER = "server"
 
 
-@dataclass(frozen=True)
-class ClientConfig:
+def typed(cls):
+    """Make NamedTuple cls compare by type as well as by fields: plain
+    NamedTuples with equal fields are equal whatever their type, so
+    OpenStream(SERVER) would equal CloseStream(SERVER). The hash stays the tuple's."""
+    cls.__eq__ = lambda self, other: type(self) is type(other) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not self == other
+    return cls
+
+
+@typed
+class ClientConfig(NamedTuple):
     """What a scenario sets for one client; timing and retry values are
     per-protocol module constants."""
 
@@ -36,68 +47,68 @@ class ClientConfig:
 
 # -- actions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SendMsg:
+@typed
+class SendMsg(NamedTuple):
     msg: object
     dst: str
 
 
-@dataclass(frozen=True)
-class StartTimer:
+@typed
+class StartTimer(NamedTuple):
     key: str
     delay_s: Optional[float] = None
     at_s: Optional[float] = None  # absolute alternative to delay_s
 
 
-@dataclass(frozen=True)
-class StopTimer:
+@typed
+class StopTimer(NamedTuple):
     key: str
 
 
-@dataclass(frozen=True)
-class OpenStream:
+@typed
+class OpenStream(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class CloseStream:
+@typed
+class CloseStream(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Notify:
+@typed
+class Notify(NamedTuple):
     kind: str
     detail: str = ""
 
 
 # -- events -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Started:
+@typed
+class Started(NamedTuple):
     now_s: float
 
 
-@dataclass(frozen=True)
-class TimerFired:
+@typed
+class TimerFired(NamedTuple):
     key: str
     now_s: float
 
 
-@dataclass(frozen=True)
-class MsgIn:
+@typed
+class MsgIn(NamedTuple):
     msg: object
     src: str
     now_s: float
 
 
-@dataclass(frozen=True)
-class StreamUp:
+@typed
+class StreamUp(NamedTuple):
     peer: str
     now_s: float
 
 
-@dataclass(frozen=True)
-class StreamDown:
+@typed
+class StreamDown(NamedTuple):
     peer: str
     reason: str
     now_s: float

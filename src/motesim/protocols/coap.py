@@ -6,7 +6,7 @@ non-confirmable requests are fire-and-forget. Responses piggyback on ACKs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .actions import (
     SERVER,
@@ -35,13 +35,13 @@ MAX_RETRANSMIT = 4
 TOKEN_BYTES = 8  # the longest token; it carries the message id, zero-padded
 
 
-@dataclass
 class CoapClientState:
-    config: ClientConfig = field(default_factory=ClientConfig)
-    next_msg_id: int = 1
-    unacked: dict[str, tuple[CoapMsg, int, float]] = field(default_factory=dict)
-    responses: list[CoapMsg] = field(default_factory=list)
-    requests_sent: int = 0
+    def __init__(self, config: ClientConfig = ClientConfig()):
+        self.config = config
+        self.next_msg_id = 1
+        self.unacked: dict[str, tuple[CoapMsg, int, float]] = {}
+        self.responses: list[CoapMsg] = []
+        self.requests_sent = 0
 
 
 def _emit_request(state: CoapClientState) -> list:
@@ -85,11 +85,11 @@ def coap_exchange(state: CoapClientState, event) -> list:
 # ---------------------------------------------------------------------------
 # Server
 
-@dataclass
 class CoapServerState:
-    resources: dict[str, bytes] = field(default_factory=dict)
-    seen: dict[tuple[str, int], CoapMsg] = field(default_factory=dict)
-    requests_handled: int = 0
+    def __init__(self, resources: Optional[dict[str, bytes]] = None):
+        self.resources = {} if resources is None else resources
+        self.seen: dict[tuple[str, int], CoapMsg] = {}
+        self.requests_handled = 0
 
 
 def coap_server_handle(state: CoapServerState, msg: CoapMsg, sender: str) -> list:

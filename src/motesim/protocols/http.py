@@ -6,7 +6,7 @@ close. No keep-alive, so every request pays the full handshake and teardown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .actions import (
     SERVER,
@@ -30,12 +30,12 @@ from .messages import HttpRequest, HttpResponse
 RESPONSE_TIMEOUT_S = 5.0
 
 
-@dataclass
 class HttpClientState:
-    config: ClientConfig = field(default_factory=ClientConfig)
-    phase: str = "idle"  # idle, connecting, awaiting, closing
-    responses: list[HttpResponse] = field(default_factory=list)
-    requests_sent: int = 0
+    def __init__(self, config: ClientConfig = ClientConfig(), phase: str = "idle"):
+        self.config = config
+        self.phase = phase  # idle, connecting, awaiting, closing
+        self.responses: list[HttpResponse] = []
+        self.requests_sent = 0
 
 
 def http_step(state: HttpClientState, event) -> list:
@@ -80,10 +80,10 @@ def http_step(state: HttpClientState, event) -> list:
 # ---------------------------------------------------------------------------
 # Server
 
-@dataclass
 class HttpServerState:
-    resources: dict[str, bytes] = field(default_factory=dict)
-    requests_handled: int = 0
+    def __init__(self, resources: Optional[dict[str, bytes]] = None):
+        self.resources = {} if resources is None else resources
+        self.requests_handled = 0
 
 
 def http_server_handle(state: HttpServerState, msg: HttpRequest, sender: str) -> list:

@@ -11,12 +11,18 @@ either raises ParseError or returns a message whose encoding is b. HTTP
 decodes the minimal header set its encoder writes (Host and Content-Length).
 Every malformed input raises ParseError. Encoded sizes follow the layout rules
 below so cross-protocol size comparisons are meaningful.
+
+Messages are immutable and compare by type and fields: MqttMsg and the HTTP
+messages are NamedTuples (see actions.typed), and MqttSnMsg and CoapMsg, whose
+constructors check their fields, frozen dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
+
+from .actions import typed
 
 
 class ParseError(ValueError):
@@ -131,8 +137,8 @@ _MQTT_CODE_TYPES = {code: mtype for mtype, (code, _, _) in _MQTT_TABLE.items()}
 _MQTT_PUBLISH_QOS0 = (("topic", "str"), ("payload", "bytes"))
 
 
-@dataclass(frozen=True)
-class MqttMsg:
+@typed
+class MqttMsg(NamedTuple):
     type: str
     topic: str = ""
     qos: int = 0
@@ -409,16 +415,16 @@ def coap_decode(data: bytes) -> CoapMsg:
 _HTTP_REASONS = {200: "OK", 404: "Not Found"}
 
 
-@dataclass(frozen=True)
-class HttpRequest:
+@typed
+class HttpRequest(NamedTuple):
     method: str
     path: str
     host: str
     body: bytes = b""
 
 
-@dataclass(frozen=True)
-class HttpResponse:
+@typed
+class HttpResponse(NamedTuple):
     status: int
     body: bytes = b""
 

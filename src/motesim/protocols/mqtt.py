@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 
 from .actions import (
     SERVER,
@@ -41,14 +40,14 @@ PUBACK_TIMEOUT_S = 1.0
 MAX_RETRIES = 3  # PUBLISH resends before the client gives up
 
 
-@dataclass
 class MqttClientState:
-    config: ClientConfig = field(default_factory=ClientConfig)
-    phase: str = "idle"  # idle, connecting, handshaking, up
-    next_msg_id: int = 1
-    unacked: dict[str, tuple[MqttMsg, int, float]] = field(default_factory=dict)
-    pending: deque = field(default_factory=deque)
-    publishes_sent: int = 0
+    def __init__(self, config: ClientConfig = ClientConfig()):
+        self.config = config
+        self.phase = "idle"  # idle, connecting, handshaking, up
+        self.next_msg_id = 1
+        self.unacked: dict[str, tuple[MqttMsg, int, float]] = {}
+        self.pending: deque = deque()
+        self.publishes_sent = 0
 
 
 def _emit_publish(state: MqttClientState, payload: bytes) -> list:
@@ -59,7 +58,7 @@ def _emit_publish(state: MqttClientState, payload: bytes) -> list:
     state.publishes_sent += 1
     if cfg.qos == 0:
         return [SendMsg(msg, SERVER)]
-    return await_ack(state, f"puback:{msg_id}", msg, PUBACK_TIMEOUT_S, replace(msg, dup=True))
+    return await_ack(state, f"puback:{msg_id}", msg, PUBACK_TIMEOUT_S, msg._replace(dup=True))
 
 
 def _rearm_ping() -> list:
@@ -132,11 +131,11 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
 # ---------------------------------------------------------------------------
 # Broker
 
-@dataclass
 class BrokerState:
-    sessions: dict[str, str] = field(default_factory=dict)  # peer -> client_id
-    received: list[tuple[str, MqttMsg]] = field(default_factory=list)
-    acked_ids: dict[str, int] = field(default_factory=dict)  # dedup per publisher
+    def __init__(self):
+        self.sessions: dict[str, str] = {}  # peer -> client_id
+        self.received: list[tuple[str, MqttMsg]] = []
+        self.acked_ids: dict[str, int] = {}  # dedup per publisher
 
 
 def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> list:

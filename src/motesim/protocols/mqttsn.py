@@ -7,7 +7,7 @@ PUBACK when the broker acks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .actions import (
     SERVER,
@@ -47,14 +47,14 @@ MAX_RETRIES = 3  # REGISTER or PUBLISH resends before the client gives up
 CONNECT_RESENDS = 0  # no CONNACK in time: the client goes idle at once
 
 
-@dataclass
 class SnClientState:
-    config: ClientConfig = field(default_factory=ClientConfig)
-    phase: str = "idle"  # idle, connecting, registering, up
-    topic_id: int = 0
-    next_msg_id: int = 1
-    unacked: dict[str, tuple[MqttSnMsg, int, float]] = field(default_factory=dict)
-    publishes_sent: int = 0
+    def __init__(self, config: ClientConfig = ClientConfig()):
+        self.config = config
+        self.phase = "idle"  # idle, connecting, registering, up
+        self.topic_id = 0
+        self.next_msg_id = 1
+        self.unacked: dict[str, tuple[MqttSnMsg, int, float]] = {}
+        self.publishes_sent = 0
 
 
 def _emit_publish(state: SnClientState, payload: bytes) -> list:
@@ -115,10 +115,10 @@ def mqttsn_client_step(state: SnClientState, event) -> list:
 # ---------------------------------------------------------------------------
 # Gateway
 
-@dataclass
 class GatewayState:
-    topics: list[str] = field(default_factory=list)  # topic id i names topics[i - 1]
-    broker: BrokerState = field(default_factory=BrokerState)
+    def __init__(self):
+        self.topics: list[str] = []  # topic id i names topics[i - 1]
+        self.broker = BrokerState()
 
 
 def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> list:

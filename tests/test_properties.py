@@ -11,9 +11,18 @@ settling some nodes at extra points of the event order leaves every trace row
 as it was.
 
 Every trace that write_csv writes, at any magnitude of power, parses back.
+
+Every record of the protocols package (actions, events, ClientConfig and the
+NamedTuple messages) is immutable, hashable and equal only to a record of its
+own type. Only the classes named in DATACLASSES are dataclasses, whose
+creation costs several times a NamedTuple's at every import.
 """
 
+import dataclasses
+import inspect
 import random
+import sys
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +34,7 @@ from motesim.engine import seconds_to_ticks
 from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
 from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium, airtime_ticks
 from motesim.powertrace import TraceRow, summarize
+from motesim.protocols import actions, messages
 
 # Characters that split an HTTP request line or header, or an ini value.
 TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
@@ -130,3 +140,43 @@ def test_every_trace_write_csv_writes_parses_back(tmp_path):
         harness.write_csv(harness.Trace("mqtt", "client", rows, summarize(samples)), path)
         parsed, average = harness.parse_trace_csv(path)
         assert len(parsed) == len(rows) and average is not None
+
+
+RECORDS = [cls for module in (actions, messages) for cls in vars(module).values()
+           if inspect.isclass(cls) and issubclass(cls, tuple) and cls.__module__ == module.__name__]
+
+
+def test_records_compare_by_type_hash_and_refuse_assignment():
+    assert {"CloseStream", "OpenStream", "MqttMsg", "HttpRequest"} <= {r.__name__ for r in RECORDS}
+    for cls in RECORDS:
+        values = tuple(f"v{i}" for i in range(len(cls._fields)))
+        record = cls(*values)
+        # other records of the same width, a namedtuple twin and the bare tuple
+        twin = namedtuple(cls.__name__, cls._fields)(*values)
+        others = [other(*values) for other in RECORDS
+                  if other is not cls and len(other._fields) == len(values)]
+        for other in [*others, twin, values]:
+            assert not record == other and record != other, (cls, other)
+        assert record == cls(*values) and not record != cls(*values)
+        assert hash(record) == hash(cls(*values))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, "changed")
+
+
+# The dataclasses left in motesim: ScenarioConfig is mutable (the benchmark
+# sets config.seed), a test compares EnergestLedgers with ==, and the other
+# three reject out-of-range fields in __post_init__.
+DATACLASSES = {"ScenarioConfig", "EnergestLedger", "CurrentProfile", "MqttSnMsg", "CoapMsg"}
+
+
+def test_only_the_named_classes_are_dataclasses():
+    import motesim.cli  # noqa: F401  the CLI imports every module
+
+    found = set()
+    for name, module in list(sys.modules.items()):
+        if name == "motesim" or name.startswith("motesim."):
+            found.update(cls.__name__ for cls in vars(module).values()
+                         if inspect.isclass(cls) and cls.__module__ == name
+                         and dataclasses.is_dataclass(cls))
+    assert found == DATACLASSES
