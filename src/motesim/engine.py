@@ -91,6 +91,12 @@ class Engine:
             return True
         return False
 
+    def drop_pending(self) -> None:
+        """Forget every queued event; the marks stay. The queued callbacks are
+        bound methods, so a finished run drops them to free their owners."""
+        self._heap.clear()
+        self._live.clear()
+
     def mark(self, period: int) -> Mark:
         """A mark first due now, after the events already queued for now.
 

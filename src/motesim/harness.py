@@ -300,14 +300,14 @@ class ProtocolRuntime:
     """Executes a state machine's actions against a node's transports."""
 
     def __init__(self, node: Node, step: Callable, state, transport: str,
-                 decode_kind: str, sim: SimRun):
+                 decode_kind: str, notes: list[tuple[float, str, str, str]]):
         self.node = node
         self.engine = node.engine
         self.step = step
         self.state = state
         self.transport = transport
         self.decode_kind = decode_kind
-        self.sim = sim
+        self.notes = notes  # the run's events list; the SimRun itself would be a cycle
         self.timers: dict[str, int] = {}
         self.conn_by_peer: dict[str, StreamConn] = {}
         self.buffers: dict[int, bytearray] = {}
@@ -351,7 +351,7 @@ class ProtocolRuntime:
                 self._note(action.kind, action.detail)
 
     def _note(self, kind: str, detail: str) -> None:
-        self.sim.events.append((self._now_s(), self.node.node_id, kind, detail))
+        self.notes.append((self._now_s(), self.node.node_id, kind, detail))
 
     def _send(self, msg, dst: str) -> None:
         data = wire.encode(msg)
@@ -461,7 +461,16 @@ def _protocol_table(config: ScenarioConfig) -> dict[str, tuple]:
 
 
 def simulate(config: ScenarioConfig) -> SimRun:
-    """Build the topology, run the full scenario, and collect per-node traces."""
+    """Build the topology, run the full scenario, and collect per-node traces.
+
+    The returned run answers what a caller reads after it: `traces`,
+    `events`, each node's `ledger`, `sent_frames` and `settle()`, and each
+    runtime's `state` and `timers`; a runtime still notes what it cannot
+    parse. Its pending events and each node's transports are dropped, so its
+    nodes can no longer send, and the run holds no reference cycle: it is
+    freed as soon as the caller drops it, without waiting for the garbage
+    collector.
+    """
     config.validate()
     engine = Engine(config.seed)
     client_ids = config.client_ids()
@@ -485,11 +494,11 @@ def simulate(config: ScenarioConfig) -> SimRun:
             host=config.host, path=config.http_path,
         )
         sim.runtimes[node_id] = ProtocolRuntime(node, client_step, client_state(client),
-                                                transport, client_kind, sim)
+                                                transport, client_kind, sim.events)
     server = sim.nodes["server"] = Node("server", engine, medium, config.duty,
                                         config.cpu_cost)
     sim.runtimes["server"] = ProtocolRuntime(server, _server_step(handler), server_state,
-                                             transport, server_kind, sim)
+                                             transport, server_kind, sim.events)
 
     interval_ticks = seconds_to_ticks(config.interval_s)
     intervals = round(config.duration_s / config.interval_s)
@@ -522,6 +531,10 @@ def simulate(config: ScenarioConfig) -> SimRun:
         node_rows = rows[node_id]
         avg = summarize([row.sample for row in node_rows])
         sim.traces[node_id] = Trace(config.protocol, node_id, node_rows, avg)
+    # Drop what only a running simulation needs, so that the returned run
+    # holds no reference cycle and is freed as soon as it is dropped.
+    engine.drop_pending()
+    medium.detach()
     return sim
 
 

@@ -1,8 +1,11 @@
 """Scenario configuration, end-to-end runs, CSV I/O, comparison, and the CLI."""
 
 import configparser
+import gc
+import itertools
 import math
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,8 @@ from motesim.harness import (
     write_csv,
     write_report_csv,
 )
-from motesim.medium import CpuCostModel, DutyCycleConfig, Overheads
+from motesim.engine import seconds_to_ticks
+from motesim.medium import CpuCostModel, DutyCycleConfig, Overheads, airtime_ticks
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
 
@@ -323,6 +327,49 @@ def test_runtime_notes_an_unparsable_datagram():
     # a CONNECT whose client id is not ASCII
     sim.runtimes["server"]._on_datagram("client", b"\x07\x04\x00\x01\x00\x1e\xe9")
     assert sim.events[-1][2] == "parse-error"
+
+
+def _check_finished_nodes(sim, end, label):
+    for node in sim.nodes.values():
+        ledger = node.settle(end)
+        assert ledger.cpu_ticks + ledger.lpm_ticks == end, label
+        assert ledger.tx_ticks == sum(airtime_ticks(f.length_bytes)
+                                      for f in node.sent_frames), label
+        assert node.streams is None and node.datagrams is None, label
+
+
+def test_a_dropped_run_is_freed_without_the_garbage_collector():
+    # Reference counting alone must free a finished run: none of its objects
+    # may sit in a cycle that only a collection would find. Before it is
+    # dropped, its nodes still settle but have no transports to send with.
+    end = seconds_to_ticks(SHORT["duration_s"])
+    gc.collect()
+    gc.disable()
+    try:
+        for protocol, duty, tx_success, clients in itertools.product(
+                motesim.PROTOCOLS, (True, False), (1.0, 0.7), (1, 3)):
+            label = (protocol, duty, tx_success, clients)
+            sim = simulate(ScenarioConfig(protocol=protocol, tx_success=tx_success,
+                                          clients=clients,
+                                          duty=DutyCycleConfig(enabled=duty), **SHORT))
+            _check_finished_nodes(sim, end, label)
+            server = weakref.ref(sim.nodes["server"])
+            del sim
+            assert server() is None, label
+            assert gc.collect() == 0, label
+    finally:
+        gc.enable()
+
+
+def test_the_readme_python_api_example_runs(tmp_path, monkeypatch):
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    rows, average = parse_trace_csv(tmp_path / "coap.csv")
+    assert len(rows) == 6
+    assert average is not None
 
 
 def test_identical_configs_give_identical_csv_bytes(tmp_path):
