@@ -83,8 +83,7 @@ class EnergestLedger:
         return replace(self)
 
 
-@dataclass(frozen=True)
-class CurrentProfile:
+class CurrentProfile(NamedTuple):
     """Per-state current draw and supply characteristics for a node class.
 
     Defaults model a Z1-class mote: MSP430 CPU active / deep sleep currents and
@@ -98,15 +97,6 @@ class CurrentProfile:
     tx_ma: float = 17.4
     rx_ma: float = 18.8
     voltage_v: float = 3.0
-
-    def __post_init__(self):
-        for name in ("cpu_active_ma", "lpm_ma", "tx_ma", "rx_ma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative current: {name}")
-        if self.voltage_v <= 0:
-            raise ValueError("voltage_v must be positive")
-        if self.lpm_ma >= self.cpu_active_ma:
-            raise ValueError("lpm_ma must be below cpu_active_ma")
 
 
 class PowerSample(NamedTuple):

@@ -73,14 +73,27 @@ class ScenarioConfig:
     report_node: str = ""
 
     def validate(self) -> "ScenarioConfig":
+        for name in _NESTED_SECTIONS:
+            record, kind = getattr(self, name), type(getattr(ScenarioConfig, name))
+            if not isinstance(record, kind):
+                raise ScenarioError(f"{name} must be {kind.__name__}(...), not {record!r}")
+        schema = scenario_schema()
         for section, key, value in _scenario_items(self):
+            if not _has_type_of(value, schema[section][key]):
+                raise ScenarioError(f"{section}.{key}: {value!r} lacks the type of its "
+                                    f"default, {schema[section][key]!r}")
             if isinstance(value, str) and not value.isascii():
                 raise ScenarioError(f"{section}.{key} must be ASCII, not {value!r}")
             for number in value if isinstance(value, tuple) else (value,):
                 if isinstance(number, float) and not math.isfinite(number):
                     raise ScenarioError(f"{section}.{key} must be finite, not {value}")
-            if section in ("overheads", "cpu") and value < 0:
+            if section in ("overheads", "cpu", "currents") and value < 0:
                 raise ScenarioError(f"{section}.{key} must be >= 0, not {value}")
+        if self.profile.voltage_v <= 0:
+            raise ScenarioError(f"currents.voltage_v must be > 0, not {self.profile.voltage_v}")
+        if self.profile.lpm_ma >= self.profile.cpu_active_ma:
+            raise ScenarioError(f"currents.lpm_ma ({self.profile.lpm_ma}) must be below "
+                                f"currents.cpu_active_ma ({self.profile.cpu_active_ma})")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r} (choose from {', '.join(PROTOCOLS)})"
@@ -197,6 +210,16 @@ def _scenario_items(config: ScenarioConfig):
                 yield section, sub, getattr(value, sub)
 
 
+def _has_type_of(value, default) -> bool:
+    """Whether value has its key's type, that of default: an int also serves
+    for a float, but a bool only for a bool, and a position is a pair of numbers."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_has_type_of, value, default)))
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def scenario_schema() -> dict[str, dict[str, object]]:
     """Section -> key -> default of the scenario file, read off the config records."""
     schema: dict[str, dict[str, object]] = {}
@@ -262,13 +285,9 @@ def load_scenario(path) -> ScenarioConfig:
             except (TypeError, ValueError):
                 raise ScenarioError(f"{section}.{key}: cannot parse {raw!r}") from None
 
-    base = ScenarioConfig()
-    nested = {}
-    for name, section in _NESTED_SECTIONS.items():
-        try:  # the nested defaults are their types' defaults
-            nested[name] = type(getattr(base, name))(**values[section])
-        except ValueError as err:
-            raise ScenarioError(f"{section}: {err}") from None
+    base = ScenarioConfig()  # the nested defaults are their types' defaults
+    nested = {name: type(getattr(base, name))(**values[section])
+              for name, section in _NESTED_SECTIONS.items()}
     return ScenarioConfig(**values["scenario"], **values["radio"], **nested).validate()
 
 

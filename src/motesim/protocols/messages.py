@@ -12,14 +12,13 @@ decodes the minimal header set its encoder writes (Host and Content-Length).
 Every malformed input raises ParseError. Encoded sizes follow the layout rules
 below so cross-protocol size comparisons are meaningful.
 
-Messages are immutable and compare by type and fields: MqttMsg and the HTTP
-messages are NamedTuples (see actions.typed), and MqttSnMsg and CoapMsg, whose
-constructors check their fields, frozen dataclasses.
+Messages are immutable NamedTuples that compare by type and fields (see
+actions.typed); copy one with _replace to change it. A constructor checks
+nothing: the encoders reject a field that their wire format cannot carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .actions import typed
@@ -113,27 +112,23 @@ MQTT_CONNECT = "CONNECT"
 MQTT_CONNACK = "CONNACK"
 MQTT_PUBLISH = "PUBLISH"
 MQTT_PUBACK = "PUBACK"
-MQTT_SUBSCRIBE = "SUBSCRIBE"
-MQTT_SUBACK = "SUBACK"
 MQTT_PINGREQ = "PINGREQ"
 MQTT_PINGRESP = "PINGRESP"
 
-# type: (type code, fixed-header flags, body layout). CONNECT carries protocol
-# name "MQTT", level 4 and connect flags 0x02 (clean session); CONNACK's first
-# byte is session present = 0 (MQTT 3.1.1 sections 3.1 and 3.2). PUBLISH takes
-# its flags from dup and qos, RETAIN clear, and has a msg_id only above QoS 0.
+# type: (type code, body layout). CONNECT carries protocol name "MQTT", level 4
+# and connect flags 0x02 (clean session); CONNACK's first byte is session
+# present = 0 (MQTT 3.1.1 sections 3.1 and 3.2). Fixed-header flags are 0 but
+# PUBLISH's, from dup and qos, RETAIN clear; it has a msg_id only above QoS 0.
 _MQTT_TABLE = {
-    MQTT_CONNECT: (1, 0, ((None, b"\x00\x04MQTT\x04\x02"), ("keepalive_s", "u16"),
-                          ("client_id", "str"))),
-    MQTT_CONNACK: (2, 0, ((None, b"\x00"), ("rc", "u8"))),
-    MQTT_PUBLISH: (3, 0, (("topic", "str"), ("msg_id", "u16"), ("payload", "bytes"))),
-    MQTT_PUBACK: (4, 0, (("msg_id", "u16"),)),
-    MQTT_SUBSCRIBE: (8, 2, (("msg_id", "u16"), ("topic", "str"), ("qos", "u8"))),
-    MQTT_SUBACK: (9, 0, (("msg_id", "u16"), ("rc", "u8"))),
-    MQTT_PINGREQ: (12, 0, ()),
-    MQTT_PINGRESP: (13, 0, ()),
+    MQTT_CONNECT: (1, ((None, b"\x00\x04MQTT\x04\x02"), ("keepalive_s", "u16"),
+                       ("client_id", "str"))),
+    MQTT_CONNACK: (2, ((None, b"\x00"), ("rc", "u8"))),
+    MQTT_PUBLISH: (3, (("topic", "str"), ("msg_id", "u16"), ("payload", "bytes"))),
+    MQTT_PUBACK: (4, (("msg_id", "u16"),)),
+    MQTT_PINGREQ: (12, ()),
+    MQTT_PINGRESP: (13, ()),
 }
-_MQTT_CODE_TYPES = {code: mtype for mtype, (code, _, _) in _MQTT_TABLE.items()}
+_MQTT_CODE_TYPES = {code: mtype for mtype, (code, _) in _MQTT_TABLE.items()}
 _MQTT_PUBLISH_QOS0 = (("topic", "str"), ("payload", "bytes"))
 
 
@@ -185,7 +180,8 @@ def _take_mqtt_length(data: bytes) -> Optional[tuple[int, int]]:
 def mqtt_encode(msg: MqttMsg) -> bytes:
     if msg.type not in _MQTT_TABLE:
         raise ValueError(f"unknown MQTT type: {msg.type!r}")
-    code, flags, layout = _MQTT_TABLE[msg.type]
+    code, layout = _MQTT_TABLE[msg.type]
+    flags = 0
     if msg.type == MQTT_PUBLISH:
         flags = (int(msg.dup) << 3) | (msg.qos << 1)
         layout = layout if msg.qos else _MQTT_PUBLISH_QOS0
@@ -205,13 +201,13 @@ def mqtt_decode(data: bytes) -> MqttMsg:
     remaining, header = length
     if remaining != len(data) - header:
         raise ParseError("remaining-length mismatch")
-    _, flags, layout = _MQTT_TABLE[mtype]
-    fields = {}
+    layout = _MQTT_TABLE[mtype][1]
+    fields, reserved = {}, 0x0F  # the fixed-header flag bits that must be clear
     if mtype == MQTT_PUBLISH:
         fields = {"dup": bool(data[0] & 0x08), "qos": (data[0] >> 1) & 0x03}
-        flags = data[0] & 0x0E
+        reserved = 0x01  # RETAIN
         layout = layout if fields["qos"] else _MQTT_PUBLISH_QOS0
-    if data[0] & 0x0F != flags:
+    if data[0] & reserved:
         raise ParseError(f"unsupported {mtype} fixed-header flags {data[0] & 0x0F:#x}")
     return MqttMsg(mtype, **_unpack(layout, data, header, fields))
 
@@ -253,8 +249,8 @@ _SN_TABLE = {
 _SN_CODE_TYPES = {code: mtype for mtype, (code, _) in _SN_TABLE.items()}
 
 
-@dataclass(frozen=True)
-class MqttSnMsg:
+@typed
+class MqttSnMsg(NamedTuple):
     type: str
     topic_id: int = 0
     msg_id: int = 0
@@ -265,10 +261,6 @@ class MqttSnMsg:
     client_id: str = ""
     duration_s: int = 0
     rc: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.topic_id <= 0xFFFF:
-            raise ValueError("topic_id must fit in 16 bits")
 
 
 def sn_encode(msg: MqttSnMsg) -> bytes:
@@ -321,8 +313,8 @@ _URI_PATH_OPTION = 11
 _MAX_URI_PATH = 255
 
 
-@dataclass(frozen=True)
-class CoapMsg:
+@typed
+class CoapMsg(NamedTuple):
     mtype: str
     code: str
     msg_id: int
@@ -330,18 +322,14 @@ class CoapMsg:
     uri_path: str = ""
     payload: bytes = b""
 
-    def __post_init__(self):
-        if len(self.token) > 8:
-            raise ValueError("token longer than 8 bytes")
-        if len(self.uri_path) > _MAX_URI_PATH:
-            raise ValueError(f"uri_path longer than {_MAX_URI_PATH} bytes")
-
 
 def coap_encode(msg: CoapMsg) -> bytes:
     if msg.mtype not in _COAP_TYPE_CODES:
         raise ValueError(f"unknown CoAP message type: {msg.mtype!r}")
     if msg.code not in _COAP_METHOD_CODES:
         raise ValueError(f"unknown CoAP code: {msg.code!r}")
+    if len(msg.token) > 8:
+        raise ValueError(f"token of {len(msg.token)} bytes, not 0-8")
     out = bytearray()
     out.append((1 << 6) | (_COAP_TYPE_CODES[msg.mtype] << 4) | len(msg.token))
     out.append(_COAP_METHOD_CODES[msg.code])
@@ -349,6 +337,8 @@ def coap_encode(msg: CoapMsg) -> bytes:
     out += msg.token
     if msg.uri_path:
         path = msg.uri_path.encode("ascii")
+        if len(path) > _MAX_URI_PATH:
+            raise ValueError(f"Uri-Path of {len(path)} bytes, not 1-{_MAX_URI_PATH}")
         if len(path) < 13:
             out.append((_URI_PATH_OPTION << 4) | len(path))
         else:

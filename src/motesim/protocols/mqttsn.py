@@ -7,8 +7,6 @@ PUBACK when the broker acks it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .actions import (
     SERVER,
     ClientConfig,
@@ -65,7 +63,7 @@ def _emit_publish(state: SnClientState, payload: bytes) -> list:
     state.publishes_sent += 1
     if cfg.qos == 0:
         return [SendMsg(msg, SERVER)]
-    return await_ack(state, f"puback:{msg_id}", msg, ACK_TIMEOUT_S, replace(msg, dup=True))
+    return await_ack(state, f"puback:{msg_id}", msg, ACK_TIMEOUT_S, msg._replace(dup=True))
 
 
 def mqttsn_client_step(state: SnClientState, event) -> list:

@@ -20,8 +20,7 @@ def _blob(rng: random.Random, max_len: int, min_len: int = 0) -> bytes:
 def random_mqtt(rng: random.Random) -> wire.MqttMsg:
     mtype = rng.choice([
         wire.MQTT_CONNECT, wire.MQTT_CONNACK, wire.MQTT_PUBLISH,
-        wire.MQTT_PUBACK, wire.MQTT_SUBSCRIBE, wire.MQTT_SUBACK,
-        wire.MQTT_PINGREQ, wire.MQTT_PINGRESP,
+        wire.MQTT_PUBACK, wire.MQTT_PINGREQ, wire.MQTT_PINGRESP,
     ])
     if mtype == wire.MQTT_CONNECT:
         return wire.MqttMsg(mtype, client_id=_text(rng, 20, 1),
@@ -35,11 +34,6 @@ def random_mqtt(rng: random.Random) -> wire.MqttMsg:
                             payload=_blob(rng, 64), dup=qos == 1 and rng.random() < 0.25)
     if mtype == wire.MQTT_PUBACK:
         return wire.MqttMsg(mtype, msg_id=rng.randint(1, 0xFFFF))
-    if mtype == wire.MQTT_SUBSCRIBE:
-        return wire.MqttMsg(mtype, topic=_text(rng, 20, 1), qos=rng.randint(0, 1),
-                            msg_id=rng.randint(1, 0xFFFF))
-    if mtype == wire.MQTT_SUBACK:
-        return wire.MqttMsg(mtype, msg_id=rng.randint(1, 0xFFFF), rc=rng.randint(0, 1))
     return wire.MqttMsg(mtype)
 
 

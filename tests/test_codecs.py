@@ -93,6 +93,18 @@ def test_coap_extended_option_length_bytes_example():
     assert wire.encode(msg)[4:6] == bytes([(11 << 4) | 13, 0])
 
 
+@pytest.mark.parametrize("msg", [
+    pytest.param(wire.MqttSnMsg(wire.SN_PUBLISH, topic_id=0x10000), id="sn-topic-id-17-bits"),
+    pytest.param(wire.CoapMsg(wire.COAP_CON, "GET", 1, token=bytes(9)), id="coap-token-9"),
+    pytest.param(wire.CoapMsg(wire.COAP_CON, "GET", 1, uri_path="p" * 256),
+                 id="coap-uri-path-256"),
+])
+def test_encoders_reject_fields_their_format_cannot_carry(msg):
+    # the records check nothing when built; the encoder is where a field enters the wire
+    with pytest.raises(ValueError):
+        wire.encode(msg)
+
+
 def test_coap_response_size():
     msg = wire.CoapMsg(wire.COAP_ACK, "2.05", 1, token=bytes(8), payload=bytes(30))
     # 4 header + 8 token + 1 payload marker + 30 payload
@@ -231,7 +243,7 @@ COAP_GET = bytes([0x40, 1, 0, 1])  # CON GET, message id 1, no token
     pytest.param("mqtt", b"\x10\x0d\x00\x04MQTT\x03\x02\x00\x3c\x00\x01c",
                  id="mqtt-connect-level-3"),
     pytest.param("mqtt", b"\x20\x02\x01\x00", id="mqtt-connack-session-present"),
-    pytest.param("mqtt", b"\x80\x06\x00\x01\x00\x01t\x00", id="mqtt-subscribe-flags-0"),
+    pytest.param("mqtt", b"\x80\x06\x00\x01\x00\x01t\x00", id="mqtt-unknown-type-code-8"),
     pytest.param("mqtt", b"\x31\x04\x00\x01tx", id="mqtt-publish-retain"),
     pytest.param("mqtt", b"\xc0\x80\x00", id="mqtt-two-byte-length-0"),
     pytest.param("mqtt-sn", b"\x06\x04\x00\x05\x00\x1e", id="mqtt-sn-protocol-id-5"),

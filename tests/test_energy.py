@@ -142,15 +142,6 @@ def test_default_profile_matches_platform_datasheet():
     assert 0 < profile.lpm_ma < profile.cpu_active_ma
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        CurrentProfile(cpu_active_ma=-1.0)
-    with pytest.raises(ValueError):
-        CurrentProfile(voltage_v=0.0)
-    with pytest.raises(ValueError):
-        CurrentProfile(lpm_ma=5.0)  # LPM draw must undercut the active draw
-
-
 # ---------------------------------------------------------------------------
 # Power conversion
 

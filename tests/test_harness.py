@@ -12,7 +12,7 @@ import pytest
 
 import motesim
 from motesim.cli import main
-from motesim.energy import PowerSample
+from motesim.energy import CurrentProfile, PowerSample
 from motesim.harness import (
     CSV_HEADER,
     ComparisonReport,
@@ -73,10 +73,57 @@ def test_multi_client_ids_are_numbered():
     dict(clients=2, report_node="client"),
     # a CoAP topic is the Uri-Path, at most 255 bytes (RFC 7252 section 5.10)
     dict(protocol="coap", topic="t" * 256, overheads=Overheads(mtu_bytes=600)),
+    # a value of another type than its key's default, which validate() once
+    # accepted (to fail mid-run or book fractional ticks) or met with a TypeError
+    dict(overheads=Overheads(mtu_bytes=127.5)),
+    dict(cpu_cost=CpuCostModel(30.5, 2)),
+    dict(duty=DutyCycleConfig(True, 8, 32.5)),
+    dict(duty=DutyCycleConfig(1, 8, 32)),
+    dict(clients=2.5),
+    dict(clients=True),
+    dict(payload_bytes=2.5),
+    dict(qos=1.0),
+    dict(duration_s="100"),
+    dict(range_m=True),
+    dict(client_pos=(0.0, 0.0, 0.0)),
+    dict(server_pos=[10.0, 0.0]),
+    dict(server_pos=(10.0, "0")),
+    dict(topic=b"temperature"),
+    dict(profile=CurrentProfile(voltage_v="3")),
+    dict(duty=None),
+    dict(overheads=(9, 21, 41, 127)),
+    # the currents: each >= 0, a positive voltage, LPM below active
+    dict(profile=CurrentProfile(cpu_active_ma=-1.0)),
+    dict(profile=CurrentProfile(rx_ma=-0.5)),
+    dict(profile=CurrentProfile(voltage_v=0.0)),
+    dict(profile=CurrentProfile(lpm_ma=5.0)),
+    dict(profile=CurrentProfile(lpm_ma=4.0)),
 ])
 def test_validate_rejects_bad_values(overrides):
-    with pytest.raises(ScenarioError):
+    # a bad current is named by its key in the scenario file
+    with pytest.raises(ScenarioError, match=r"currents\." if "profile" in overrides else None):
         ScenarioConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (dict(seed=42.0), "scenario.seed"),
+    (dict(server_pos=(10.0,)), "radio.server_pos"),
+    (dict(cpu_cost=CpuCostModel(30, 2.0)), "cpu.ticks_per_byte"),
+])
+def test_validate_names_a_value_of_the_wrong_type(overrides, key):
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        ScenarioConfig(**overrides).validate()
+
+
+def test_an_int_serves_where_the_default_is_a_float():
+    assert ScenarioConfig(duration_s=100).validate().duration_s == 100
+    as_ints = dict(duration_s=20, interval_s=10, range_m=50, client_pos=(0, 0),
+                   profile=CurrentProfile(tx_ma=17, voltage_v=3))
+    as_floats = dict(duration_s=20.0, interval_s=10.0, range_m=50.0, client_pos=(0.0, 0.0),
+                     profile=CurrentProfile(tx_ma=17.0, voltage_v=3.0))
+    runs = [simulate(ScenarioConfig(**values)).report_trace().rows
+            for values in (as_ints, as_floats)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("overrides", [
