@@ -156,6 +156,25 @@ TIE_GOLDEN = {
 }
 
 
+# Many senders on one channel. crowd50 puts 50 duty-cycled clients on the
+# tick where they all publish, so every frame end wakes the senders that wait
+# for it; client-50 and the server are just out of each other's range. Five
+# always-on MQTT clients under frame loss defer behind each other's
+# retransmissions. Recorded while every waiting sender was its own event.
+HERD_CASES = {
+    "mqtt-sn-50x": ScenarioConfig(protocol="mqtt-sn", clients=50),
+    "mqtt-5x-always-on-txloss": ScenarioConfig(
+        protocol="mqtt", clients=5, tx_success=0.7, duty=DutyCycleConfig(enabled=False)),
+}
+
+HERD_GOLDEN = {
+    'mqtt-sn-50x':
+        '001414300ddb8b37041902f7b8240990b8480274d22a381813a201e3dffceac1',
+    'mqtt-5x-always-on-txloss':
+        'b9767f5c04229b9d96d799dbd948f01001ed2477a24c03aa3d3eaa615fad804c',
+}
+
+
 def run_digest(protocol, tx_success, clients, duty, tmp_path) -> str:
     return config_digest(ScenarioConfig(protocol=protocol, tx_success=tx_success,
                                         clients=clients,
@@ -181,3 +200,8 @@ def test_trace_csvs_match_golden(protocol, tx_success, clients, duty, tmp_path):
 @pytest.mark.parametrize("name", TIE_CASES)
 def test_same_tick_duty_cases_match_golden(name, tmp_path):
     assert config_digest(TIE_CASES[name], tmp_path) == TIE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", HERD_CASES)
+def test_many_sender_cases_match_golden(name, tmp_path):
+    assert config_digest(HERD_CASES[name], tmp_path) == HERD_GOLDEN[name]
