@@ -91,6 +91,11 @@ class Engine:
             return True
         return False
 
+    def is_newest(self, event_id: int) -> bool:
+        """True iff no event or mark has taken a seq since event_id: an event
+        queued now for the same tick would dispatch right after it."""
+        return event_id == self._next_seq - 1
+
     def drop_pending(self) -> None:
         """Forget every queued event; the marks stay. The queued callbacks are
         bound methods, so a finished run drops them to free their owners."""
@@ -106,8 +111,7 @@ class Engine:
         marks = self._marks
         if marks:
             newest = marks[-1]
-            if (newest.period == period and newest.due == self.now
-                    and newest.seq == self._next_seq - 1):
+            if newest.period == period and newest.due == self.now and self.is_newest(newest.seq):
                 return newest
         mark = Mark(period, self.now, self._next_seq)
         self._next_seq += 1

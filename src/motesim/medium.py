@@ -151,6 +151,8 @@ class RadioMedium:
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
         self._in_range: dict[str, list["Node"]] = {}
+        # The newest group of deferred senders: (tick, event id, [(node, frame)])
+        self._deferred: Optional[tuple[TickTime, int, list]] = None
 
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
@@ -169,6 +171,7 @@ class RadioMedium:
             node.streams = node.datagrams = None
         self.nodes.clear()
         self._in_range.clear()
+        self._deferred = None
 
     def _listeners(self, src: str) -> list["Node"]:
         """Nodes other than src within radio range of it, in registration order."""
@@ -188,11 +191,13 @@ class RadioMedium:
         everyone, for broadcast) and only when the success draws pass. Loss
         burns energy on both sides. The frame schedules no event: the
         sender's end of TX delivers it to the receivers, in listener order.
-        Addressees and listeners without duty cycling hear the frame now
-        (Node.hear); every other listener only queues it, with whether its
-        check round at now has run, for Node._catch_up to replay.
+        Addressees hear the frame now (Node.hear). Every other listener that
+        is not sending only moves its receive hold to the frame's end; one
+        with duty cycling also queues the frame, with whether its check round
+        at now has run, for Node._catch_up to replay.
         """
         air = airtime_ticks(frame.length_bytes)
+        end = now + air
         rng = self.engine.rng
         tx_ok = self.link.tx_passes(rng)
         dst = frame.dst
@@ -202,13 +207,33 @@ class RadioMedium:
             if dst == node.node_id or dst == BROADCAST:
                 if node.hear(now, air) and tx_ok and self.link.rx_passes(rng):
                     receivers.append(node)
-            elif node._round is None:
-                node.hear(now, air)
             elif node._tx_until <= now:
-                if queued is None:
-                    queued = ((now, air, False), (now, air, True))
-                node._heard.append(queued[node._round.last == now])
+                if end > node._rx_hold_until:
+                    node._rx_hold_until = end
+                if node._round is not None:
+                    if queued is None:
+                        queued = ((now, air, False), (now, air, True))
+                    node._heard.append(queued[node._round.last == now])
         return receivers
+
+    def defer_tx(self, node: "Node", frame: RadioFrame, until: TickTime) -> None:
+        """Start node's TX of frame at tick until, when the frames it hears end.
+
+        Senders that defer to one tick one after another, with no engine seq
+        taken in between, share one event that starts them in that order:
+        nothing could sort between their own events, as with Engine.mark.
+        """
+        group = self._deferred
+        if group is not None and group[0] == until and self.engine.is_newest(group[1]):
+            group[2].append((node, frame))
+            return
+        waiting = [(node, frame)]
+        self._deferred = (until, self.engine.call_at(until, self._start_deferred, waiting),
+                          waiting)
+
+    def _start_deferred(self, waiting: list[tuple["Node", RadioFrame]]) -> None:
+        for node, frame in waiting:
+            node._start_tx(frame)
 
 
 class Node:
@@ -222,7 +247,9 @@ class Node:
     ticks if the send pipeline is idle and the radio is off. No state ends by
     an event, and overheard frames are only queued: _catch_up() replays the
     queued frames, the checks and the ends of windows and receive holds due
-    before every point that reads or changes the radio or the pipeline.
+    before every point that reads or changes the radio or the pipeline. The
+    receive hold, _rx_hold_until, is the end of the latest frame heard or
+    queued, so a sender that must wait for it defers without a replay.
 
     The CPU, and a radio without duty cycling, change no ledger state: their
     busy spans never overlap, so their ACTIVE and TX ticks are the charged
@@ -258,7 +285,7 @@ class Node:
         self._tx_until: TickTime = 0
         self._tx_airtime = 0  # airtime sent since creation, without duty cycling
         self._check_until: TickTime = 0
-        self._rx_hold_until: TickTime = 0
+        self._rx_hold_until: TickTime = 0  # end of the latest frame heard or queued
         self._round: Optional[Mark] = None  # the check round, with duty cycling
         medium.add_node(self)
         if duty.enabled:
@@ -268,6 +295,7 @@ class Node:
             self._round = engine.mark(self._check_period)
             self._next_check = engine.now
             self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
+            self._hold: TickTime = 0  # the receive hold as replayed so far
             self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
             self._heard: list[tuple[TickTime, int, bool]] = []  # (start, air, round_ran)
 
@@ -307,17 +335,19 @@ class Node:
         self.engine.call_at(end, self._start_tx, frame)
 
     def _start_tx(self, frame: RadioFrame) -> None:
+        """Put frame on air, or defer it to the end of the frames heard.
+
+        A deferring sender leaves its queued frames for the replay at its TX.
+        """
         now = self.engine.now
-        if self._round is not None:
-            self._catch_up(now)  # queued frames may hold the radio
         if self._rx_hold_until > now:
-            # an inbound frame is mid-air; transmit after it completes
-            self.engine.call_at(self._rx_hold_until, self._start_tx, frame)
+            self.medium.defer_tx(self, frame, self._rx_hold_until)
             return
         air = airtime_ticks(frame.length_bytes)
         if self._round is None:
             self._tx_airtime += air
         else:
+            self._catch_up(now)
             self._check_until = min(self._check_until, now)  # abort any idle check
             self.ledger.transition(RadioState.TX, now)
         self._tx_until = now + air
@@ -347,13 +377,12 @@ class Node:
         """
         if self._tx_until > now:
             return False
-        if self._round is not None:
-            self._heard.append((now, air, self._round.last == now))
-            self._catch_up(now)
-            return True
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
+        if self._round is not None:
+            self._heard.append((now, air, self._round.last == now))
+            self._catch_up(now)
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -390,13 +419,15 @@ class Node:
         before the next one. It turns the radio on and may extend the receive
         hold. The pipeline is idle or busy throughout, because every point
         that changes it replays first. The radio's state and counters are
-        replayed in locals and written back to the ledger once.
+        replayed in locals and written back to the ledger once. The common
+        entry in a crowd, a frame that starts after the hold ended with
+        nothing else due or pending before it, is booked in one step.
         """
         heard = self._heard
         ran = self._round.last == now
         check = self._next_check
         ends = self._ends
-        hold, hold_after = self._rx_hold_until, self._hold_after
+        hold, hold_after = self._hold, self._hold_after
         if (not heard and check > (now if ran else now - 1)
                 and not (ends and ends[0][0] <= now)
                 and not (hold_after is not None and hold <= now)):
@@ -410,6 +441,16 @@ class Node:
         width = self.duty.check_duration_ticks
         RX, OFF = RadioState.RX, RadioState.OFF
         for start, air, ran in heard:
+            if air > 0 and hold_after is not None and hold <= start < check and not ends:
+                # The common entry: a frame that starts after the hold ended,
+                # with no check due before it and no window end pending. The
+                # radio is in RX for the hold alone (an open window would
+                # have its end pending), so RX stops at the hold end and
+                # starts again with the frame.
+                rx += hold - since
+                since, hold = start, start + air
+                hold_after = air < period or (air == period and ran)
+                continue
             last_check = start if ran else start - 1
             while True:
                 if (hold_after is not None and hold <= start
@@ -455,7 +496,7 @@ class Node:
         heard.clear()
         self._next_check = check
         self._check_until = check_until
-        self._rx_hold_until, self._hold_after = hold, hold_after
+        self._hold, self._hold_after = hold, hold_after
         ledger.replayed_radio(state, since, rx)
 
     def _listening(self, now: TickTime) -> bool:

@@ -1,5 +1,6 @@
 """Radio medium: airtime, delivery rules, duty cycling, and both transports."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motesim.energy import EnergestLedger, RadioState
-from motesim.engine import Engine, seconds_to_ticks
+from motesim.engine import RTIMER_HZ, Engine, seconds_to_ticks
 from motesim.medium import (
     BROADCAST,
     CpuCostModel,
@@ -594,3 +595,230 @@ def test_stream_duplicate_data_delivered_once():
     engine.run(seconds_to_ticks(5))
     assert got == [b"once"]  # retransmitted copy was recognized and re-acked
     assert conn.inflight is None
+
+
+# ---------------------------------------------------------------------------
+# Senders that wait for a frame on air
+
+def record_sends(medium):
+    """Log (tick, src) of every frame put on air through medium."""
+    sent = []
+    broadcast = medium.broadcast
+    medium.broadcast = lambda frame, now: (sent.append((now, frame.src)), broadcast(frame, now))[1]
+    return sent
+
+
+def test_senders_that_publish_on_one_tick_keep_their_order_in_linear_events():
+    # 20 duty-cycled clients send to a server at the same tick, in an order
+    # other than their registration order. The first frame holds the other 19,
+    # and every frame end used to wake each sender still waiting: 270 events.
+    engine = Engine()
+    ids = [f"c{i:02}" for i in range(20)]
+    positions = {node_id: (2.0 * i, 0.0) for i, node_id in enumerate(ids)}
+    positions["s"] = (20.0, 5.0)
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    nodes = {node_id: Node(node_id, engine, medium, DutyCycleConfig(True, 8, 32))
+             for node_id in positions}
+    sent = record_sends(medium)
+    order = sorted(ids, key=lambda node_id: int(node_id[1:]) * 7 % 20)
+    for node_id in order:
+        engine.call_at(1000, nodes[node_id].datagrams.send, "s", bytes(10))
+    summary = engine.run(seconds_to_ticks(1))
+    # Recorded while each waiting sender was an event of its own.
+    assert sent == [(1092 + 42 * k, node_id) for k, node_id in enumerate(order)]
+    # Each frame: a send, a CPU-done start, one shared wake-up, end of TX and
+    # the server's dispatch.
+    assert summary.events_dispatched <= 5 * len(ids)
+
+
+def test_a_sender_does_not_join_waiters_when_an_event_came_between():
+    # a and b both wait for s's frame, which ends at tick `end`; between their
+    # deferrals an event is queued for `end` that puts c's frame on air. c is
+    # in range of b only, so at `end` a sends, then c, and b waits for c.
+    # Had b joined a's wake-up, b would send before c, and c would wait.
+    engine = Engine()
+    positions = {"s": (0.0, 0.0), "a": (-30.0, 0.0), "b": (30.0, 0.0), "c": (60.0, 0.0)}
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    nodes = {node_id: Node(node_id, engine, medium, NO_DUTY) for node_id in positions}
+    sent = record_sends(medium)
+
+    def frame(src):
+        return RadioFrame(src, "nobody", 100, b"")
+
+    end = airtime_ticks(100)
+    engine.call_at(0, nodes["s"]._start_tx, frame("s"))
+    engine.call_at(10, nodes["a"]._start_tx, frame("a"))
+    engine.call_at(10, lambda: engine.call_at(end, nodes["c"]._start_tx, frame("c")))
+    engine.call_at(10, nodes["b"]._start_tx, frame("b"))
+    engine.run(1000)
+    assert sent == [(0, "s"), (end, "a"), (end, "c"), (2 * end, "b")]
+
+
+def test_senders_that_defer_one_after_another_to_different_ticks_wake_apart():
+    # a hears s's and x's frames, b only s's: a defers to the end of x's
+    # longer frame, and right after it b to the end of s's frame.
+    engine = Engine()
+    positions = {"s": (0.0, 0.0), "x": (-70.0, 0.0), "a": (-30.0, 0.0), "b": (30.0, 0.0)}
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    nodes = {node_id: Node(node_id, engine, medium, NO_DUTY) for node_id in positions}
+    sent = record_sends(medium)
+    for node_id, tick, length in (("s", 0, 100), ("x", 0, 120), ("a", 10, 50), ("b", 10, 50)):
+        engine.call_at(tick, nodes[node_id]._start_tx, RadioFrame(node_id, "nobody", length, b""))
+    engine.run(1000)
+    assert sent == [(0, "s"), (0, "x"), (airtime_ticks(100), "b"), (airtime_ticks(120), "a")]
+
+
+# ---------------------------------------------------------------------------
+# Replay: the common-entry branch against the general loop
+
+class GeneralReplayNode(Node):
+    """A node whose _catch_up replays every queued entry through the general
+    loop: Node._catch_up without its branch for the common entry."""
+
+    def _catch_up(self, now):
+        heard = self._heard
+        ran = self._round.last == now
+        check = self._next_check
+        ends = self._ends
+        hold, hold_after = self._hold, self._hold_after
+        if (not heard and check > (now if ran else now - 1)
+                and not (ends and ends[0][0] <= now)
+                and not (hold_after is not None and hold <= now)):
+            return
+        heard.append((now, -1, ran))
+        ledger = self.ledger
+        state, since, rx = ledger.radio_state, ledger.last_radio_change, ledger.rx_ticks
+        check_until = self._check_until
+        busy = self._pipeline_busy
+        period = self._check_period
+        width = self.duty.check_duration_ticks
+        RX, OFF = RadioState.RX, RadioState.OFF
+        for start, air, ran in heard:
+            last_check = start if ran else start - 1
+            while True:
+                if (hold_after is not None and hold <= start
+                        and (hold < check or (hold == check and not hold_after))):
+                    hold_after = None
+                    if state is RX and check_until <= hold:
+                        rx += hold - since
+                        state, since = OFF, hold
+                    continue
+                if ends:
+                    end, after_check = ends[0]
+                    if end <= start and (end < check or (end == check and not after_check)):
+                        heapq.heappop(ends)
+                        if state is RX and check_until <= end and hold <= end:
+                            rx += end - since
+                            state, since = OFF, end
+                        continue
+                if check > last_check:
+                    break
+                if busy or state is not OFF:
+                    check += period
+                    continue
+                if width < period:
+                    closed = (last_check - check) // period
+                    rx += closed * width
+                    check += closed * period
+                state, since = RX, check
+                check_until = check + width
+                heapq.heappush(ends, (check_until, width <= period))
+                check += period
+            if air < 0:
+                break
+            if state is not RX:
+                if state is RadioState.TX:
+                    ledger.tx_ticks += start - since
+                state, since = RX, start
+            if start + air > hold:
+                hold = start + air
+                hold_after = air < period or (air == period and ran)
+        heard.clear()
+        self._next_check = check
+        self._check_until = check_until
+        self._hold, self._hold_after = hold, hold_after
+        ledger.replayed_radio(state, since, rx)
+
+
+REPLAY_PERIOD = 128  # ticks between checks at 256 Hz
+REPLAY_IDS = "abcde"  # d is in range of b and e only
+# Payloads whose datagram frames take 32, 63, 127 (P - 1), 128 (P) and 129 ticks.
+REPLAY_PAYLOADS = (0, 0, 30, 91, 92, 93)
+REPLAY_AIRS = (0, 1, 2, 16, 32, 32) + tuple(range(REPLAY_PERIOD - 2, REPLAY_PERIOD + 3)) + (
+    2 * REPLAY_PERIOD,)
+# A node's CPU cost per frame: none, so that its TX starts after the check
+# round at its tick, or P + 1, so that a TX on a check tick starts before it.
+REPLAY_COSTS = (CpuCostModel(0, 0), CpuCostModel(REPLAY_PERIOD + 1, 0))
+REPLAY_OFFSETS = st.sampled_from((-2, -1, 0, 1, 2, 33, 64, 97))
+# Steps, each at check k plus an offset: one to four datagrams from a node
+# with a payload to an addressee (itself for broadcast), queued where the
+# first one's CPU cost ends then; a frame of some airtime heard directly, before
+# the check round at its tick or (late) after it; or a settle of every node.
+# Airtimes near P make frames end next to check ticks and to other frames.
+REPLAY_STEPS = st.one_of(
+    st.tuples(st.just("send"), st.integers(2, 6), REPLAY_OFFSETS,
+              st.sampled_from(REPLAY_IDS), st.sampled_from(REPLAY_PAYLOADS),
+              st.sampled_from(REPLAY_IDS), st.integers(1, 4)),
+    st.tuples(st.just("hear"), st.integers(0, 8), REPLAY_OFFSETS,
+              st.sampled_from(REPLAY_IDS), st.sampled_from(REPLAY_AIRS), st.booleans()),
+    st.tuples(st.just("settle"), st.integers(0, 10), st.sampled_from((-1, 0, 1, 33))),
+)
+
+
+def play_replay_program(node_class, width, costs, program):
+    """Run a program on duty-cycled nodes of node_class; return the books of
+    every settle and the (tick, src) of every frame sent."""
+    engine = Engine()
+    positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0), "d": (55.0, 0.0),
+                 "e": (10.0, 5.0)}
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    duty = DutyCycleConfig(True, RTIMER_HZ // REPLAY_PERIOD, width)
+    nodes = {node_id: node_class(node_id, engine, medium, duty, REPLAY_COSTS[cost])
+             for node_id, cost in zip(REPLAY_IDS, costs)}
+    sent = record_sends(medium)
+    settled = []
+
+    def settle_all():
+        settled.extend((engine.now, books(node.settle(engine.now))) for node in nodes.values())
+
+    def hear(node, air):
+        node.hear(engine.now, air)
+
+    for kind, check, offset, *args in program:
+        tick = max(0, check * REPLAY_PERIOD + offset)
+        if kind == "send":
+            src, size, dst, count = args
+            node = nodes[src]
+            for _ in range(count):
+                engine.call_at(tick - node.cpu_cost.ticks_per_message,
+                               node.datagrams.send, BROADCAST if dst == src else dst, bytes(size))
+        elif kind == "hear":
+            node_id, air, late = args
+            if late:  # queued at the tick itself, after its check round
+                engine.call_at(tick, engine.call_at, tick, hear, nodes[node_id], air)
+            else:
+                engine.call_at(tick, hear, nodes[node_id], air)
+        else:
+            engine.call_at(tick, settle_all)
+    engine.run(30 * REPLAY_PERIOD)
+    settle_all()
+    return settled, sent
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from((0, 32, REPLAY_PERIOD - 1, REPLAY_PERIOD, REPLAY_PERIOD + 1,
+                        2 * REPLAY_PERIOD)),
+       st.tuples(*[st.integers(0, len(REPLAY_COSTS) - 1)] * len(REPLAY_IDS)),
+       st.lists(REPLAY_STEPS, min_size=5, max_size=30))
+# A frame of no airtime heard as the hold ends leaves the radio on.
+@example(0, (0,) * len(REPLAY_IDS),
+         [("hear", 1, 1, "a", 32, False), ("hear", 1, 33, "a", 0, False)])
+# A frame on a check tick, after its round: the check opens a window first.
+@example(32, (0,) * len(REPLAY_IDS),
+         [("hear", 1, 33, "a", 16, False), ("hear", 2, 0, "a", 1, True)])
+# A frame of P + 1 ticks whose hold ends on a check tick, before the check.
+@example(32, (0,) * len(REPLAY_IDS),
+         [("hear", 1, 33, "a", 32, False), ("hear", 2, -1, "a", REPLAY_PERIOD + 1, False)])
+def test_replay_books_match_the_general_loop(width, costs, program):
+    assert (play_replay_program(Node, width, costs, program)
+            == play_replay_program(GeneralReplayNode, width, costs, program))
