@@ -89,6 +89,9 @@ class ScenarioConfig:
                     raise ScenarioError(f"{section}.{key} must be finite, not {value}")
             if section in ("overheads", "cpu", "currents") and value < 0:
                 raise ScenarioError(f"{section}.{key} must be >= 0, not {value}")
+        if self.overheads.link_bytes < 1:  # so that every frame has airtime
+            raise ScenarioError(f"overheads.link_bytes must be >= 1, not "
+                                f"{self.overheads.link_bytes}")
         if self.profile.voltage_v <= 0:
             raise ScenarioError(f"currents.voltage_v must be > 0, not {self.profile.voltage_v}")
         if self.profile.lpm_ma >= self.profile.cpu_active_ma:
@@ -316,10 +319,16 @@ class SimRun:
 
 
 class ProtocolRuntime:
-    """Executes a state machine's actions against a node's transports."""
+    """Executes a state machine's actions against a node's transports.
+
+    `encoded` (message -> bytes) and `decoded` ((decode kind, bytes) -> what
+    the decoder returned) are the run's codec memos. A message compares by
+    type and fields, so an equal key means the same bytes. A ParseError is
+    never stored, so every bad frame is noted."""
 
     def __init__(self, node: Node, step: Callable, state, transport: str,
-                 decode_kind: str, notes: list[tuple[float, str, str, str]]):
+                 decode_kind: str, notes: list[tuple[float, str, str, str]],
+                 encoded: dict, decoded: dict):
         self.node = node
         self.engine = node.engine
         self.step = step
@@ -327,6 +336,8 @@ class ProtocolRuntime:
         self.transport = transport
         self.decode_kind = decode_kind
         self.notes = notes  # the run's events list; the SimRun itself would be a cycle
+        self.encoded = encoded
+        self.decoded = decoded
         self.timers: dict[str, int] = {}
         self.conn_by_peer: dict[str, StreamConn] = {}
         self.buffers: dict[int, bytearray] = {}
@@ -373,7 +384,9 @@ class ProtocolRuntime:
         self.notes.append((self._now_s(), self.node.node_id, kind, detail))
 
     def _send(self, msg, dst: str) -> None:
-        data = wire.encode(msg)
+        data = self.encoded.get(msg)
+        if data is None:
+            data = self.encoded[msg] = wire.encode(msg)
         if self.transport == "stream":
             conn = self.conn_by_peer.get(dst)
             if conn is None or conn.state != "ESTABLISHED":
@@ -409,17 +422,16 @@ class ProtocolRuntime:
         buffer = self.buffers.setdefault(conn.conn_id, bytearray())
         buffer += chunk
         while True:
-            try:
-                if self.decode_kind == "mqtt":
-                    result = wire.mqtt_decode_prefix(bytes(buffer))
-                elif self.decode_kind == "http-request":
-                    result = wire.http_decode_prefix(bytes(buffer), "request")
-                else:
-                    result = wire.http_decode_prefix(bytes(buffer), "response")
-            except wire.ParseError as err:
-                self._note("parse-error", str(err))
-                buffer.clear()
-                return
+            key = (self.decode_kind, bytes(buffer))
+            if key in self.decoded:
+                result = self.decoded[key]
+            else:
+                try:
+                    result = self.decoded[key] = _decode_prefix(*key)
+                except wire.ParseError as err:
+                    self._note("parse-error", str(err))
+                    buffer.clear()
+                    return
             if result is None:
                 return
             msg, consumed = result
@@ -441,12 +453,23 @@ class ProtocolRuntime:
             del self.conn_by_peer[conn.peer]
 
     def _on_datagram(self, src: str, data: bytes) -> None:
-        try:
-            msg = wire.decode(data, self.decode_kind)
-        except wire.ParseError as err:
-            self._note("parse-error", str(err))
-            return
+        key = (self.decode_kind, data)
+        msg = self.decoded.get(key)
+        if msg is None:
+            try:
+                msg = self.decoded[key] = wire.decode(data, self.decode_kind)
+            except wire.ParseError as err:
+                self._note("parse-error", str(err))
+                return
         self.feed(act.MsgIn(msg, src, self._now_s()))
+
+
+def _decode_prefix(kind: str, data: bytes):
+    """A stream decoder's (message, bytes consumed) for the message at the
+    start of data, or None while it is incomplete."""
+    if kind == "mqtt":
+        return wire.mqtt_decode_prefix(data)
+    return wire.http_decode_prefix(data, kind.removeprefix("http-"))
 
 
 def _server_step(handler: Callable) -> Callable:
@@ -489,6 +512,10 @@ def simulate(config: ScenarioConfig) -> SimRun:
     nodes can no longer send, and the run holds no reference cycle: it is
     freed as soon as the caller drops it, without waiting for the garbage
     collector.
+
+    A run encodes each distinct message, and decodes each distinct input,
+    once: its runtimes share one encode map and one decode map, which live
+    and die with the run. Nothing is cached across runs.
     """
     config.validate()
     engine = Engine(config.seed)
@@ -503,6 +530,8 @@ def simulate(config: ScenarioConfig) -> SimRun:
 
     (transport, client_step, client_state, client_kind,
      handler, server_state, server_kind) = _protocol_table(config)[config.protocol]
+    encoded: dict = {}
+    decoded: dict = {}
     for node_id, client_name in zip(client_ids, config.client_names()):
         node = sim.nodes[node_id] = Node(node_id, engine, medium, config.duty,
                                          config.cpu_cost)
@@ -513,11 +542,13 @@ def simulate(config: ScenarioConfig) -> SimRun:
             host=config.host, path=config.http_path,
         )
         sim.runtimes[node_id] = ProtocolRuntime(node, client_step, client_state(client),
-                                                transport, client_kind, sim.events)
+                                                transport, client_kind, sim.events,
+                                                encoded, decoded)
     server = sim.nodes["server"] = Node("server", engine, medium, config.duty,
                                         config.cpu_cost)
     sim.runtimes["server"] = ProtocolRuntime(server, _server_step(handler), server_state,
-                                             transport, server_kind, sim.events)
+                                             transport, server_kind, sim.events,
+                                             encoded, decoded)
 
     interval_ticks = seconds_to_ticks(config.interval_s)
     intervals = round(config.duration_s / config.interval_s)

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps motesim functions where their callers look them up.
 Code that binds one of those names before a run starts (at import, say) keeps
 calling the unwrapped function, and the per-layer metric the benchmark reports
 for it reads 0 without any error. These counts, taken over the four default
-scenarios at seed 42, fail instead.
+scenarios at seed 42, fail instead. A run encodes and decodes each distinct
+input once, so the codec counts are distinct messages per run.
 """
 
 import importlib.util
@@ -16,8 +17,8 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 DEFAULT_RUN_COUNTS = {
     "protocols.step": 336,
-    "protocols.encode": 166,
-    "protocols.decode": 248,
+    "protocols.encode": 128,
+    "protocols.decode": 131,
     "energy.transition": 702,
     "energy.settle": 80,
     "medium.broadcast": 351,

@@ -16,6 +16,7 @@ from motesim.energy import CurrentProfile, PowerSample
 from motesim.harness import (
     CSV_HEADER,
     ComparisonReport,
+    ProtocolRuntime,
     ScenarioConfig,
     ScenarioError,
     compare,
@@ -30,6 +31,7 @@ from motesim.harness import (
 )
 from motesim.engine import seconds_to_ticks
 from motesim.medium import CpuCostModel, DutyCycleConfig, Overheads, airtime_ticks
+from motesim.protocols import messages as wire
 
 SHORT = dict(duration_s=20.0, interval_s=10.0)
 
@@ -98,6 +100,8 @@ def test_multi_client_ids_are_numbered():
     dict(profile=CurrentProfile(voltage_v=0.0)),
     dict(profile=CurrentProfile(lpm_ma=5.0)),
     dict(profile=CurrentProfile(lpm_ma=4.0)),
+    # a frame of 0 B would take no airtime
+    dict(overheads=Overheads(link_bytes=0, stream_bytes=0)),
 ])
 def test_validate_rejects_bad_values(overrides):
     # a bad current is named by its key in the scenario file
@@ -113,6 +117,13 @@ def test_validate_rejects_bad_values(overrides):
 def test_validate_names_a_value_of_the_wrong_type(overrides, key):
     with pytest.raises(ScenarioError, match=re.escape(key)):
         ScenarioConfig(**overrides).validate()
+
+
+def test_every_frame_of_a_valid_config_lasts_at_least_two_ticks():
+    with pytest.raises(ScenarioError, match=r"overheads\.link_bytes"):
+        ScenarioConfig(overheads=Overheads(link_bytes=0)).validate()
+    ScenarioConfig(overheads=Overheads(link_bytes=1, stream_bytes=0)).validate()
+    assert airtime_ticks(1) == 2
 
 
 def test_an_int_serves_where_the_default_is_a_float():
@@ -371,9 +382,58 @@ def test_simulate_two_clients():
 
 def test_runtime_notes_an_unparsable_datagram():
     sim = simulate(ScenarioConfig(protocol="mqtt-sn", **SHORT))
-    # a CONNECT whose client id is not ASCII
-    sim.runtimes["server"]._on_datagram("client", b"\x07\x04\x00\x01\x00\x1e\xe9")
-    assert sim.events[-1][2] == "parse-error"
+    notes = len(sim.events)
+    # a CONNECT whose client id is not ASCII, noted each time: no parse error is cached
+    for _ in range(2):
+        sim.runtimes["server"]._on_datagram("client", b"\x07\x04\x00\x01\x00\x1e\xe9")
+    assert [kind for _, _, kind, _ in sim.events[notes:]] == ["parse-error"] * 2
+
+
+def test_a_run_encodes_each_distinct_message_once(monkeypatch):
+    sent, encoded = [], []
+    send, encode = ProtocolRuntime._send, wire.encode
+
+    def counting_send(self, msg, dst):
+        sent.append(msg)
+        send(self, msg, dst)
+
+    def counting_encode(msg):
+        encoded.append(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(ProtocolRuntime, "_send", counting_send)
+    monkeypatch.setattr(wire, "encode", counting_encode)
+    for _ in range(2):  # nothing is kept from one run to the next
+        sent.clear()
+        encoded.clear()
+        simulate(ScenarioConfig(protocol="mqtt-sn", clients=10, **SHORT))
+        assert encoded == list(dict.fromkeys(sent))
+        assert len(sent) > 2 * len(encoded)
+
+
+def _fresh_decode(kind, data):
+    """What ProtocolRuntime's decoder of kind returns for data, uncached."""
+    if kind == "mqtt":
+        return wire.mqtt_decode_prefix(data)
+    if kind in ("http-request", "http-response"):
+        return wire.http_decode_prefix(data, kind.removeprefix("http-"))
+    return wire.decode(data, kind)
+
+
+def test_the_codec_memos_hold_what_the_codecs_return():
+    for protocol, tx_success, clients in itertools.product(
+            motesim.PROTOCOLS, (1.0, 0.7), (1, 3)):
+        label = (protocol, tx_success, clients)
+        sim = simulate(ScenarioConfig(protocol=protocol, tx_success=tx_success,
+                                      clients=clients, **SHORT))
+        runtimes = list(sim.runtimes.values())
+        encoded, decoded = runtimes[0].encoded, runtimes[0].decoded
+        assert all(r.encoded is encoded and r.decoded is decoded for r in runtimes), label
+        assert encoded and decoded, label
+        for msg, data in encoded.items():
+            assert data == wire.encode(msg), label
+        for (kind, data), result in decoded.items():
+            assert result == _fresh_decode(kind, data), label
 
 
 def _check_finished_nodes(sim, end, label):
