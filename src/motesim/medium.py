@@ -71,7 +71,11 @@ class CpuCostModel(NamedTuple):
 
 
 class LinkModel:
-    """Unit disk graph: delivery is possible only within range_m."""
+    """Unit disk graph: delivery is possible only within range_m.
+
+    A success probability of 1.0 (or 0.0) passes (or fails) without a random
+    draw, so loss-free runs are reproducible independently of the RNG stream.
+    """
 
     def __init__(self, range_m: float, tx_success: float, rx_success: float,
                  positions: dict[str, tuple[float, float]]):
@@ -81,20 +85,12 @@ class LinkModel:
         self.positions = positions
 
     def tx_passes(self, rng) -> bool:
-        return _draw_passes(self.tx_success, rng)
+        p = self.tx_success
+        return p >= 1.0 or (p > 0.0 and rng.random() < p)
 
     def rx_passes(self, rng) -> bool:
-        return _draw_passes(self.rx_success, rng)
-
-
-def _draw_passes(probability: float, rng) -> bool:
-    # Probability 1.0 (or 0.0) short-circuits without consuming a random draw,
-    # so loss-free runs are reproducible independently of the RNG stream.
-    if probability >= 1.0:
-        return True
-    if probability <= 0.0:
-        return False
-    return rng.random() < probability
+        p = self.rx_success
+        return p >= 1.0 or (p > 0.0 and rng.random() < p)
 
 
 class RadioFrame(NamedTuple):
@@ -150,7 +146,7 @@ class RadioMedium:
         self.overheads = overheads
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
-        self._in_range: dict[str, list["Node"]] = {}
+        self._in_range: dict[str, tuple[list["Node"], dict[str, "Node"]]] = {}
         # The newest group of deferred senders: (tick, event id, [(node, frame)])
         self._deferred: Optional[tuple[TickTime, int, list]] = None
 
@@ -173,41 +169,44 @@ class RadioMedium:
         self._in_range.clear()
         self._deferred = None
 
-    def _listeners(self, src: str) -> list["Node"]:
-        """Nodes other than src within radio range of it, in registration order."""
-        listeners = self._in_range.get(src)
-        if listeners is None:
-            positions, range_m = self.link.positions, self.link.range_m
-            listeners = [node for node_id, node in self.nodes.items() if node_id != src
-                         and math.dist(positions[src], positions[node_id]) <= range_m]
-            self._in_range[src] = listeners
-        return listeners
+    def _listeners(self, src: str) -> tuple[list["Node"], dict[str, "Node"]]:
+        """Cache and return the nodes other than src within radio range of it:
+        in registration order, and the same nodes by id."""
+        positions, range_m = self.link.positions, self.link.range_m
+        listeners = [node for node_id, node in self.nodes.items() if node_id != src
+                     and math.dist(positions[src], positions[node_id]) <= range_m]
+        cached = self._in_range[src] = (listeners, {node.node_id: node for node in listeners})
+        return cached
 
-    def broadcast(self, frame: RadioFrame, now: TickTime) -> list["Node"]:
-        """Propagate a frame already on air; return the nodes that receive it.
+    def broadcast(self, frame: RadioFrame, now: TickTime, air: int) -> list["Node"]:
+        """Propagate a frame of air ticks already on air; return the nodes that receive it.
 
         Every in-range listener that is not itself sending accrues RX for the
         airtime span; the frame is received only by its addressee (or
         everyone, for broadcast) and only when the success draws pass. Loss
         burns energy on both sides. The frame schedules no event: the
         sender's end of TX delivers it to the receivers, in listener order.
-        Addressees hear the frame now (Node.hear). Every other listener that
-        is not sending only moves its receive hold to the frame's end; one
-        with duty cycling also queues the frame, with whether its check round
-        at now has run, for Node._catch_up to replay.
+        Addressees hear the frame now (Node.hear); a unicast frame finds its
+        one addressee by id. Every other listener that is not sending only
+        moves its receive hold to the frame's end; one with duty cycling also
+        queues the frame, with whether its check round at now has run, for
+        Node._catch_up to replay. The frame takes one tx draw, then each
+        addressee that hears it one rx draw, in listener order.
         """
-        air = airtime_ticks(frame.length_bytes)
-        end = now + air
-        rng = self.engine.rng
-        tx_ok = self.link.tx_passes(rng)
+        listeners, by_id = self._in_range.get(frame.src) or self._listeners(frame.src)
+        link, rng = self.link, self.engine.rng
+        tx_ok = link.tx_passes(rng)
         dst = frame.dst
+        if dst == BROADCAST:
+            return [node for node in listeners
+                    if node.hear(now, air) and tx_ok and link.rx_passes(rng)]
+        target = by_id.get(dst)
+        receivers = ([target] if target is not None and target.hear(now, air) and tx_ok
+                     and link.rx_passes(rng) else [])
+        end = now + air
         queued = None  # built on first use: one entry per round_ran, shared by every queue
-        receivers = []
-        for node in self._listeners(frame.src):
-            if dst == node.node_id or dst == BROADCAST:
-                if node.hear(now, air) and tx_ok and self.link.rx_passes(rng):
-                    receivers.append(node)
-            elif node._tx_until <= now:
+        for node in listeners:
+            if node is not target and node._tx_until <= now:
                 if end > node._rx_hold_until:
                     node._rx_hold_until = end
                 if node._round is not None:
@@ -222,18 +221,43 @@ class RadioMedium:
         Senders that defer to one tick one after another, with no engine seq
         taken in between, share one event that starts them in that order:
         nothing could sort between their own events, as with Engine.mark.
+        That event, _start_deferred, sends each waiter still held back here.
         """
         group = self._deferred
         if group is not None and group[0] == until and self.engine.is_newest(group[1]):
             group[2].append((node, frame))
-            return
-        waiting = [(node, frame)]
+        else:
+            self._new_group(until, [(node, frame)])
+
+    def _new_group(self, until: TickTime, waiting: list[tuple["Node", RadioFrame]]) -> None:
+        """Make waiting the newest group, started by one event at tick until."""
         self._deferred = (until, self.engine.call_at(until, self._start_deferred, waiting),
                           waiting)
 
     def _start_deferred(self, waiting: list[tuple["Node", RadioFrame]]) -> None:
-        for node, frame in waiting:
+        """Start the waiters in the order they deferred; a waiter still held
+        goes straight back to defer_tx, without a Node._start_tx call.
+
+        A waiter that transmits takes the newest seq for its end of TX. So if
+        every waiter after it is held to one tick, deferring them one by one
+        would start a new group with the first and join the rest to it: the
+        rest of the list becomes that group at once, with one call_at. If
+        their holds differ, each goes back to defer_tx on its own.
+        """
+        now = self.engine.now
+        last = len(waiting) - 1
+        for i, (node, frame) in enumerate(waiting):
+            until = node._rx_hold_until
+            if until > now:
+                self.defer_tx(node, frame, until)
+                continue
             node._start_tx(frame)
+            if i < last:
+                rest = waiting[i + 1:]
+                until = rest[0][0]._rx_hold_until
+                if until > now and all(waiter._rx_hold_until == until for waiter, _ in rest):
+                    self._new_group(until, rest)
+                    return
 
 
 class Node:
@@ -352,7 +376,7 @@ class Node:
             self.ledger.transition(RadioState.TX, now)
         self._tx_until = now + air
         self.sent_frames.append(frame)
-        receivers = self.medium.broadcast(frame, now)
+        receivers = self.medium.broadcast(frame, now, air)
         self.engine.call_at(self._tx_until, self._end_tx, frame, receivers)
 
     def _end_tx(self, frame: RadioFrame, receivers: list["Node"]) -> None:
@@ -513,9 +537,10 @@ class Node:
         the CPU is ACTIVE for exactly the ticks charged; settle() counts them
         without any state change here.
         """
-        self._cpu_busy_until = max(self._cpu_busy_until, self.engine.now) + ticks
+        busy, now = self._cpu_busy_until, self.engine.now
+        self._cpu_busy_until = busy = (busy if busy > now else now) + ticks
         self._cpu_charged += ticks
-        return self._cpu_busy_until
+        return busy
 
 
 class DatagramTransport:
@@ -587,7 +612,8 @@ class StreamTransport:
 
     def _transmit(self, conn: StreamConn, seg: StreamSegment) -> None:
         self._put_on_air(conn, seg)
-        conn.rto_event = self.node.engine.call_in(STREAM_RTO_TICKS, self._on_rto, conn, seg)
+        engine = self.node.engine
+        conn.rto_event = engine.call_at(engine.now + STREAM_RTO_TICKS, self._on_rto, conn, seg)
 
     def _put_on_air(self, conn: StreamConn, seg: StreamSegment) -> None:
         over = self.node.medium.overheads

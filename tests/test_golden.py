@@ -161,10 +161,20 @@ TIE_GOLDEN = {
 # for it; client-50 and the server are just out of each other's range. Five
 # always-on MQTT clients under frame loss defer behind each other's
 # retransmissions. Recorded while every waiting sender was its own event.
+# With a short range, senders hidden from each other wait for different
+# frames: some wake-ups leave the senders still waiting held to different
+# ticks. 40 duty-cycled MQTT-SN clients at 20 m (22 of them out of the
+# gateway's range note connection-failed), and 20 always-on MQTT clients at
+# 12 m under frame loss. Recorded while each waiting sender re-deferred on its
+# own and each frame compared its addressee with every listener.
 HERD_CASES = {
     "mqtt-sn-50x": ScenarioConfig(protocol="mqtt-sn", clients=50),
     "mqtt-5x-always-on-txloss": ScenarioConfig(
         protocol="mqtt", clients=5, tx_success=0.7, duty=DutyCycleConfig(enabled=False)),
+    "mqtt-sn-40x-hidden": ScenarioConfig(protocol="mqtt-sn", clients=40, range_m=20),
+    "mqtt-20x-always-on-hidden-txloss": ScenarioConfig(
+        protocol="mqtt", clients=20, range_m=12, tx_success=0.7,
+        duty=DutyCycleConfig(enabled=False)),
 }
 
 HERD_GOLDEN = {
@@ -172,6 +182,10 @@ HERD_GOLDEN = {
         '001414300ddb8b37041902f7b8240990b8480274d22a381813a201e3dffceac1',
     'mqtt-5x-always-on-txloss':
         'b9767f5c04229b9d96d799dbd948f01001ed2477a24c03aa3d3eaa615fad804c',
+    'mqtt-sn-40x-hidden':
+        'a86eca50b81369fa577c9810736a532d38d99439b389f513cb228c87e2e6494f',
+    'mqtt-20x-always-on-hidden-txloss':
+        'dd2f85296fbb130546faad466320efce1fb33e20a4beb5a939aa0b6a7fbdd29c',
 }
 
 

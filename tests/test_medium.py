@@ -604,7 +604,8 @@ def record_sends(medium):
     """Log (tick, src) of every frame put on air through medium."""
     sent = []
     broadcast = medium.broadcast
-    medium.broadcast = lambda frame, now: (sent.append((now, frame.src)), broadcast(frame, now))[1]
+    medium.broadcast = lambda frame, now, *args: (sent.append((now, frame.src)),
+                                                  broadcast(frame, now, *args))[1]
     return sent
 
 
@@ -822,3 +823,92 @@ def play_replay_program(node_class, width, costs, program):
 def test_replay_books_match_the_general_loop(width, costs, program):
     assert (play_replay_program(Node, width, costs, program)
             == play_replay_program(GeneralReplayNode, width, costs, program))
+
+
+# ---------------------------------------------------------------------------
+# Wake-ups and fan-out: the batched paths against one call per waiter and listener
+
+def draw_passes(probability, rng):
+    if probability >= 1.0:
+        return True
+    if probability <= 0.0:
+        return False
+    return rng.random() < probability
+
+
+class PerWaiterMedium(RadioMedium):
+    """A medium whose wake-ups start every waiter through Node._start_tx, and
+    whose broadcast computes the airtime, compares dst with every listener
+    and draws through one helper per draw."""
+
+    def broadcast(self, frame, now, air):
+        air = airtime_ticks(frame.length_bytes)
+        end = now + air
+        rng = self.engine.rng
+        tx_ok = draw_passes(self.link.tx_success, rng)
+        dst = frame.dst
+        queued = None
+        receivers = []
+        listeners, _ = self._in_range.get(frame.src) or self._listeners(frame.src)
+        for node in listeners:
+            if dst == node.node_id or dst == BROADCAST:
+                if node.hear(now, air) and tx_ok and draw_passes(self.link.rx_success, rng):
+                    receivers.append(node)
+            elif node._tx_until <= now:
+                if end > node._rx_hold_until:
+                    node._rx_hold_until = end
+                if node._round is not None:
+                    if queued is None:
+                        queued = ((now, air, False), (now, air, True))
+                    node._heard.append(queued[node._round.last == now])
+        return receivers
+
+    def _start_deferred(self, waiting):
+        for node, frame in waiting:
+            node._start_tx(frame)
+
+
+HERD_DUTIES = (NO_DUTY, DutyCycleConfig(True, 8, 32), DutyCycleConfig(True, 256, 128))
+# Steps: a run of 1-8 neighbouring senders, a tick offset from tick 1000
+# (mostly the same tick, or a few ticks apart, or a frame or two later), an
+# addressee (None for BROADCAST), a payload, and whether to open a stream to
+# the addressee instead.
+HERD_STEPS = st.tuples(st.integers(0, 11), st.integers(1, 8),
+                       st.sampled_from((0, 0, 0, 0, 1, 3, 40, 150)),
+                       st.one_of(st.none(), st.integers(0, 11)),
+                       st.sampled_from((0, 10, 40, 90)), st.booleans())
+
+
+def play_herd(medium_class, duties, range_m, cpu_cost, loss, steps):
+    """Run steps on nodes 10 m apart on a line; return the (tick, src) of every
+    frame sent, every node's settled books, the events dispatched and the
+    engine's next seq."""
+    engine = Engine(7)
+    positions = {f"n{i:02}": (10.0 * i, 0.0) for i in range(len(duties))}
+    medium = medium_class(engine, LinkModel(range_m, *loss, positions))
+    nodes = [Node(node_id, engine, medium, HERD_DUTIES[duty], cpu_cost)
+             for node_id, duty in zip(positions, duties)]
+    sent = record_sends(medium)
+    for first, count, offset, dst, size, stream in steps:
+        dst = BROADCAST if dst is None else nodes[dst % len(nodes)].node_id
+        for src in range(first, first + count):
+            node = nodes[src % len(nodes)]
+            if stream and dst not in (BROADCAST, node.node_id):
+                engine.call_at(1000 + offset, node.streams.connect, dst)
+            else:
+                engine.call_at(1000 + offset, node.datagrams.send, dst, bytes(size))
+    summary = engine.run(seconds_to_ticks(3))
+    return (sent, [books(node.settle(engine.now)) for node in nodes],
+            summary.events_dispatched, engine._next_seq)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, len(HERD_DUTIES) - 1), min_size=2, max_size=12),
+       st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from((CpuCostModel(), CpuCostModel(0, 0))),
+       st.sampled_from(((1.0, 1.0), (0.7, 0.8))),
+       st.lists(HERD_STEPS, min_size=1, max_size=8))
+def test_batched_wake_ups_and_fan_out_match_one_call_per_waiter_and_listener(
+        duties, range_m, cpu_cost, loss, steps):
+    assert (play_herd(RadioMedium, duties, range_m, cpu_cost, loss, steps)
+            == play_herd(PerWaiterMedium, duties, range_m, cpu_cost, loss, steps))
