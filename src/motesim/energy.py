@@ -20,8 +20,9 @@ class EnergestLedger:
     """Cumulative tick counters per hardware state.
 
     Each settle() takes over the CPU's ACTIVE total, counted by its owner.
-    The radio accrues ticks into its state tag between transitions, or, if
-    it is never off, takes over a TX total at settle() like the CPU.
+    The radio accrues ticks into its state tag between changes, made by
+    transition() or taken over with replayed_radio(), or, if it is never
+    off, takes over a TX total at settle() like the CPU.
     """
 
     cpu_ticks: int = 0
@@ -60,14 +61,15 @@ class EnergestLedger:
         self.radio_state = new_state
         return self
 
-    def replayed_radio(self, state: RadioState, since: TickTime, rx_ticks: int) -> None:
-        """Take over a radio history replayed elsewhere: the state now, the
-        tick it began, and the RX ticks accrued before that tick."""
-        if since < self.last_radio_change or rx_ticks < self.rx_ticks:
+    def replayed_radio(self, state: RadioState, since: TickTime, rx_ticks: int,
+                       tx_ticks: int) -> None:
+        """Take over a radio history replayed elsewhere, as a duty-cycled
+        node's settle() does instead of transitions: the state now, the tick
+        it began, and the RX and TX ticks accrued before that tick."""
+        if since < self.last_radio_change or rx_ticks < self.rx_ticks or tx_ticks < self.tx_ticks:
             raise ValueError(f"replayed radio change at tick {since} precedes the last one")
-        self.radio_state = state
-        self.last_radio_change = since
-        self.rx_ticks = rx_ticks
+        self.radio_state, self.last_radio_change = state, since
+        self.rx_ticks, self.tx_ticks = rx_ticks, tx_ticks
 
     def _accrue_radio(self, now: TickTime) -> None:
         delta = now - self.last_radio_change

@@ -26,6 +26,10 @@ BROADCAST = "*"
 STREAM_RTO_TICKS = seconds_to_ticks(0.5)
 STREAM_MAX_RETRIES = 3
 
+# A duty-cycled node's own points, queued in Node._heard in place of a frame's
+# airtime: a settle, the pipeline turning busy, and the start and end of a TX.
+SETTLE, BUSY, TX_START, TX_END = -1, -2, -3, -4
+
 
 class FrameTooLarge(ValueError):
     pass
@@ -269,18 +273,18 @@ class Node:
 
     With duty cycling, the radio wakes every check period P for a window of D
     ticks if the send pipeline is idle and the radio is off. No state ends by
-    an event, and overheard frames are only queued: _catch_up() replays the
-    queued frames, the checks and the ends of windows and receive holds due
-    before every point that reads or changes the radio or the pipeline. The
-    receive hold, _rx_hold_until, is the end of the latest frame heard or
+    an event: the frames a node hears and its own pipeline and radio changes
+    are only queued, and settle() has _catch_up() replay them in order with
+    the checks and the ends of windows and receive holds due between them.
+    The receive hold, _rx_hold_until, is the end of the latest frame heard or
     queued, so a sender that must wait for it defers without a replay.
 
     The CPU, and a radio without duty cycling, change no ledger state: their
     busy spans never overlap, so their ACTIVE and TX ticks are the charged
     ticks and the airtime sent, less the part still to come, and settle()
     writes them with the rest of the elapsed time as LPM and RX. Read the
-    counters through settle(); the ledger alone lags, and only a duty-cycled
-    radio's state tag follows the radio.
+    counters through settle(); the ledger alone lags, a duty-cycled radio's
+    state tag included.
     """
 
     def __init__(
@@ -308,7 +312,6 @@ class Node:
         self._cpu_charged = 0  # ticks charged since creation
         self._tx_until: TickTime = 0
         self._tx_airtime = 0  # airtime sent since creation, without duty cycling
-        self._check_until: TickTime = 0
         self._rx_hold_until: TickTime = 0  # end of the latest frame heard or queued
         self._round: Optional[Mark] = None  # the check round, with duty cycling
         medium.add_node(self)
@@ -318,17 +321,21 @@ class Node:
             self._check_period = RTIMER_HZ // duty.check_rate_hz
             self._round = engine.mark(self._check_period)
             self._next_check = engine.now
+            self._check_until: TickTime = 0  # end of the latest window, as replayed
+            self._busy = False  # the pipeline as replayed so far
             self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
             self._hold: TickTime = 0  # the receive hold as replayed so far
             self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
-            self._heard: list[tuple[TickTime, int, bool]] = []  # (start, air, round_ran)
+            self._heard: list[tuple[TickTime, int, bool]] = []  # (tick, air or point, round_ran)
 
     def settle(self, now: TickTime) -> EnergestLedger:
         """Bring the ledger up to now; read counters after this.
 
-        A duty-cycled radio replays its state ends first. The CPU's ACTIVE
-        ticks, and an always-on radio's TX ticks, are the sums charged and
-        sent less what lies past now; the rest of the time is LPM and RX.
+        A duty-cycled radio first replays the frames and points it queued
+        since the last settle, with the state ends due among them (see
+        _catch_up). The CPU's ACTIVE ticks, and an always-on radio's TX
+        ticks, are the sums charged and sent less what lies past now; the
+        rest of the time is LPM and RX.
         """
         cpu = self._cpu_charged - max(0, self._cpu_busy_until - now)
         if self._round is None:
@@ -351,7 +358,8 @@ class Node:
         if self._pipeline_busy or not self._outbox:
             return
         if self._round is not None:
-            self._catch_up(self.engine.now)
+            now = self.engine.now
+            self._heard.append((now, BUSY, self._round.last == now))
         self._pipeline_busy = True
         frame = self._outbox.popleft()
         cost = self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes)
@@ -361,7 +369,8 @@ class Node:
     def _start_tx(self, frame: RadioFrame) -> None:
         """Put frame on air, or defer it to the end of the frames heard.
 
-        A deferring sender leaves its queued frames for the replay at its TX.
+        A duty-cycled sender queues its TX start, which also aborts an idle
+        check, for the replay; a deferring one queues nothing.
         """
         now = self.engine.now
         if self._rx_hold_until > now:
@@ -371,9 +380,7 @@ class Node:
         if self._round is None:
             self._tx_airtime += air
         else:
-            self._catch_up(now)
-            self._check_until = min(self._check_until, now)  # abort any idle check
-            self.ledger.transition(RadioState.TX, now)
+            self._heard.append((now, TX_START, self._round.last == now))
         self._tx_until = now + air
         self.sent_frames.append(frame)
         receivers = self.medium.broadcast(frame, now, air)
@@ -384,8 +391,7 @@ class Node:
             node.deliver(frame)  # the frame ends with the TX, before anything else at this tick
         if self._round is not None:
             now = self.engine.now
-            self._catch_up(now)
-            self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
+            self._heard.append((now, TX_END, self._round.last == now))
         self._pipeline_busy = False
         self._pump()
 
@@ -394,10 +400,10 @@ class Node:
     def hear(self, now: TickTime, air: int) -> bool:
         """Hear a frame spanning [now, now + air); False if deaf (mid-TX).
 
-        The radio is held on until the frame ends. A duty-cycled node queues
-        the frame as RadioMedium.broadcast does for its bystanders, and
-        replays it at once. An always-on radio is in RX whenever it is not
-        sending, so only its receive hold moves.
+        The radio is held on until the frame ends. A duty-cycled node only
+        queues the frame, as RadioMedium.broadcast does for its bystanders,
+        for settle() to replay. An always-on radio is in RX whenever it is
+        not sending, so only its receive hold moves.
         """
         if self._tx_until > now:
             return False
@@ -406,7 +412,6 @@ class Node:
             self._rx_hold_until = end
         if self._round is not None:
             self._heard.append((now, air, self._round.last == now))
-            self._catch_up(now)
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -425,7 +430,8 @@ class Node:
     # -- duty cycling ------------------------------------------------------
 
     def _catch_up(self, now: TickTime) -> None:
-        """Replay the queued frames, idle checks and radio-off points before this point.
+        """Replay the queued frames and points, and the idle checks and
+        radio-off points due among them, up to now.
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
@@ -438,32 +444,30 @@ class Node:
         iff D > P. Ends commute with every other event at their tick, so an
         end at now is due unless a check at now comes first.
 
-        A frame queued at tick s is heard where its broadcast ran: after the
+        An entry queued at tick s applies where it was queued: after the
         checks and ends due then (the check at s iff its round had run), and
-        before the next one. It turns the radio on and may extend the receive
-        hold. The pipeline is idle or busy throughout, because every point
-        that changes it replays first. The radio's state and counters are
-        replayed in locals and written back to the ledger once. The common
-        entry in a crowd, a frame that starts after the hold ended with
-        nothing else due or pending before it, is booked in one step.
+        before the next one. A frame turns the radio on and may extend the
+        receive hold. The node's own points change its state there, exactly
+        as a replay up to the point followed by the change would: BUSY makes
+        the pipeline busy; TX_START books the radio up to s, puts it in TX and
+        aborts any idle check; TX_END books the TX, leaves the radio in RX if
+        a window or the receive hold is still open and off if not, and makes
+        the pipeline idle. The radio's state and counters are replayed in
+        locals and written back to the ledger once. The common entry in a
+        crowd, a frame that starts after the hold ended with nothing else due
+        or pending before it, is booked in one step.
         """
         heard = self._heard
-        ran = self._round.last == now
-        check = self._next_check
+        heard.append((now, SETTLE, self._round.last == now))
+        ledger = self.ledger
+        state, since = ledger.radio_state, ledger.last_radio_change
+        rx, tx = ledger.rx_ticks, ledger.tx_ticks
+        check, check_until, busy = self._next_check, self._check_until, self._busy
         ends = self._ends
         hold, hold_after = self._hold, self._hold_after
-        if (not heard and check > (now if ran else now - 1)
-                and not (ends and ends[0][0] <= now)
-                and not (hold_after is not None and hold <= now)):
-            return
-        heard.append((now, -1, ran))  # the point itself, after every queued frame
-        ledger = self.ledger
-        state, since, rx = ledger.radio_state, ledger.last_radio_change, ledger.rx_ticks
-        check_until = self._check_until
-        busy = self._pipeline_busy
         period = self._check_period
         width = self.duty.check_duration_ticks
-        RX, OFF = RadioState.RX, RadioState.OFF
+        RX, TX, OFF = RadioState.RX, RadioState.TX, RadioState.OFF
         for start, air, ran in heard:
             if air > 0 and hold_after is not None and hold <= start < check and not ends:
                 # The common entry: a frame that starts after the hold ended,
@@ -508,25 +512,34 @@ class Node:
                 check_until = check + width
                 heapq.heappush(ends, (check_until, width <= period))
                 check += period
-            if air < 0:
+            if air >= 0:
+                if state is not RX:
+                    if state is TX:  # heard at the tick its own TX ends
+                        tx += start - since
+                    state, since = RX, start
+                if start + air > hold:
+                    hold = start + air
+                    hold_after = air < period or (air == period and ran)
+            elif air == BUSY:
+                busy = True
+            elif air == SETTLE:
                 break
-            if state is not RX:
-                if state is RadioState.TX:  # heard at the tick its own TX ends
-                    ledger.tx_ticks += start - since
-                state, since = RX, start
-            if start + air > hold:
-                hold = start + air
-                hold_after = air < period or (air == period and ran)
+            else:
+                if state is RX:
+                    rx += start - since
+                elif state is TX:
+                    tx += start - since
+                if air == TX_START:
+                    state = TX
+                    check_until = min(check_until, start)  # abort any idle check
+                else:
+                    state = RX if check_until > start or hold > start else OFF
+                    busy = False
+                since = start
         heard.clear()
-        self._next_check = check
-        self._check_until = check_until
+        self._next_check, self._check_until, self._busy = check, check_until, busy
         self._hold, self._hold_after = hold, hold_after
-        ledger.replayed_radio(state, since, rx)
-
-    def _listening(self, now: TickTime) -> bool:
-        """Whether a duty-cycled radio stays in RX when it is not sending: a
-        check or an inbound frame in progress."""
-        return self._check_until > now or self._rx_hold_until > now
+        ledger.replayed_radio(state, since, rx, tx)
 
     # -- CPU accounting ----------------------------------------------------
 

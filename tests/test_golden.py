@@ -130,6 +130,12 @@ TIE_CASES = {
         payload_bytes=5, publish_period_s=1, publish_offset_s=0, qos=1, tx_success=0.7,
         duty=DutyCycleConfig(True, 256, 128), cpu_cost=CpuCostModel(0, 0),
         overheads=Overheads(mtu_bytes=600)),
+    # Six CoAP clients with no CPU cost at 256 Hz and D = P: 65 TX starts fall
+    # on check ticks, and 236 frames are heard at the tick the hearer's own
+    # TX ends. Recorded while every pipeline and radio change replayed at once.
+    "coap-6x-256hz-cpu0-txloss": ScenarioConfig(
+        protocol="coap", clients=6, cpu_cost=CpuCostModel(0, 0),
+        duty=DutyCycleConfig(True, 256, 128), tx_success=0.7),
 }
 
 TIE_GOLDEN = {
@@ -153,6 +159,8 @@ TIE_GOLDEN = {
         '9c17a307d4d25a5979d53288be1774630b21c8d2cadb08cb50e90379e64268ac',
     'mqtt-sn-5x-256hz-cpu0':
         '985871534d00be026b564e6e5ff1ca05565879d6fac773bd758fc357b198f45c',
+    'coap-6x-256hz-cpu0-txloss':
+        'c2b3e2f3a70c00fb8ae65c8dfb2bcd5ceda7be88c9ff3432f4bfdab41d7faf55',
 }
 
 

@@ -670,11 +670,56 @@ def test_senders_that_defer_one_after_another_to_different_ticks_wake_apart():
 
 
 # ---------------------------------------------------------------------------
-# Replay: the common-entry branch against the general loop
+# Replay: settle-only books against an eager replay through the general loop
 
 class GeneralReplayNode(Node):
-    """A node whose _catch_up replays every queued entry through the general
-    loop: Node._catch_up without its branch for the common entry."""
+    """A duty-cycled node that replays at once wherever its radio or send
+    pipeline is touched, and books each radio change with a ledger
+    transition; its _catch_up replays every queued frame through the general
+    loop, without Node._catch_up's branch for the common entry."""
+
+    def _pump(self):
+        if self._pipeline_busy or not self._outbox:
+            return
+        self._catch_up(self.engine.now)
+        self._pipeline_busy = True
+        frame = self._outbox.popleft()
+        end = self.charge_cpu(self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes))
+        self.engine.call_at(end, self._start_tx, frame)
+
+    def _start_tx(self, frame):
+        now = self.engine.now
+        if self._rx_hold_until > now:
+            self.medium.defer_tx(self, frame, self._rx_hold_until)
+            return
+        air = airtime_ticks(frame.length_bytes)
+        self._catch_up(now)
+        self._check_until = min(self._check_until, now)  # abort any idle check
+        self.ledger.transition(RadioState.TX, now)
+        self._tx_until = now + air
+        self.sent_frames.append(frame)
+        receivers = self.medium.broadcast(frame, now, air)
+        self.engine.call_at(self._tx_until, self._end_tx, frame, receivers)
+
+    def _end_tx(self, frame, receivers):
+        for node in receivers:
+            node.deliver(frame)
+        now = self.engine.now
+        self._catch_up(now)
+        self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
+        self._pipeline_busy = False
+        self._pump()
+
+    def _listening(self, now):
+        return self._check_until > now or self._rx_hold_until > now
+
+    def hear(self, now, air):
+        if self._tx_until > now:
+            return False
+        self._rx_hold_until = max(self._rx_hold_until, now + air)
+        self._heard.append((now, air, self._round.last == now))
+        self._catch_up(now)
+        return True
 
     def _catch_up(self, now):
         heard = self._heard
@@ -738,7 +783,7 @@ class GeneralReplayNode(Node):
         self._next_check = check
         self._check_until = check_until
         self._hold, self._hold_after = hold, hold_after
-        ledger.replayed_radio(state, since, rx)
+        ledger.replayed_radio(state, since, rx, ledger.tx_ticks)
 
 
 REPLAY_PERIOD = 128  # ticks between checks at 256 Hz

@@ -8,7 +8,8 @@ parse. Every other config must fail with a ScenarioError before the run starts.
 
 Nodes account their radio lazily, so when a node settles must not matter:
 settling some nodes at extra points of the event order leaves every trace row
-as it was.
+as it was, and a run sampled once books on every node the sums of the rows of
+the same run sampled at every interval.
 
 Every trace that write_csv writes, at any magnitude of power, parses back.
 
@@ -20,6 +21,7 @@ several times a NamedTuple's at every import.
 
 import dataclasses
 import inspect
+import operator
 import random
 import sys
 from collections import namedtuple
@@ -35,6 +37,8 @@ from motesim.harness import PROTOCOLS, ScenarioConfig, ScenarioError, simulate
 from motesim.medium import CpuCostModel, DutyCycleConfig, RadioMedium, airtime_ticks
 from motesim.powertrace import TraceRow, summarize
 from motesim.protocols import actions, messages
+
+DELTAS = operator.attrgetter("cpu_delta", "lpm_delta", "tx_delta", "rx_delta")
 
 # Characters that split an HTTP request line or header, or an ini value.
 TEXT = st.text(alphabet="ab/: \r\n", max_size=40)
@@ -125,6 +129,11 @@ def test_extra_settles_change_no_trace_row(config, settle_seed):
         settled = simulate(config)
     assert {node_id: trace.rows for node_id, trace in settled.traces.items()} == \
         {node_id: trace.rows for node_id, trace in plain.traces.items()}
+    # One sample: each duty-cycled node replays the whole run in one call.
+    once = simulate(dataclasses.replace(config, interval_s=config.duration_s))
+    for node_id, trace in plain.traces.items():
+        (row,) = once.traces[node_id].rows
+        assert list(DELTAS(row)) == [sum(column) for column in zip(*map(DELTAS, trace.rows))]
 
 
 def test_every_trace_write_csv_writes_parses_back(tmp_path):
