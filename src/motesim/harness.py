@@ -494,11 +494,9 @@ def _protocol_table(config: ScenarioConfig) -> dict[str, tuple]:
         "mqtt-sn": ("datagram", mqttsn_client_step, SnClientState, "mqtt-sn",
                     gateway_handle, GatewayState(), "mqtt-sn"),
         "coap": ("datagram", coap_exchange, CoapClientState, "coap",
-                 coap_server_handle, CoapServerState(resources={config.topic: resource}),
-                 "coap"),
+                 coap_server_handle, CoapServerState(resource), "coap"),
         "http": ("stream", http_step, HttpClientState, "http-response",
-                 http_server_handle, HttpServerState(resources={config.http_path: resource}),
-                 "http-request"),
+                 http_server_handle, HttpServerState(resource), "http-request"),
     }
 
 

@@ -6,8 +6,6 @@ non-confirmable requests are fire-and-forget. Responses piggyback on ACKs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .actions import (
     SERVER,
     ClientConfig,
@@ -22,7 +20,7 @@ from .actions import (
     resend,
     start_grid_timer,
 )
-from .messages import COAP_ACK, COAP_CON, COAP_NON, COAP_RST, CoapMsg
+from .messages import COAP_ACK, COAP_CON, COAP_NON, CoapMsg
 
 
 # RFC 7252 section 4.8 transmission parameters, without ACK_RANDOM_FACTOR
@@ -76,8 +74,6 @@ def coap_exchange(state: CoapClientState, event) -> list:
         if msg.mtype == COAP_NON or (msg.mtype == COAP_ACK and key in state.unacked):
             state.responses.append(msg)  # a NON may answer a non-confirmable request
             return acked(state, key)
-        if msg.mtype == COAP_RST and key in state.unacked:
-            return acked(state, key) + [Notify("exchange-reset", f"msg_id {msg.msg_id}")]
 
     return []
 
@@ -86,25 +82,19 @@ def coap_exchange(state: CoapClientState, event) -> list:
 # Server
 
 class CoapServerState:
-    def __init__(self, resources: Optional[dict[str, bytes]] = None):
-        self.resources = {} if resources is None else resources
+    def __init__(self, resource: bytes):
+        self.resource = resource  # served to every request
         self.seen: dict[tuple[str, int], CoapMsg] = {}
         self.requests_handled = 0
 
 
 def coap_server_handle(state: CoapServerState, msg: CoapMsg, sender: str) -> list:
-    if msg.mtype not in (COAP_CON, COAP_NON):
-        return []
     key = (sender, msg.msg_id)
     if key in state.seen:
         # duplicate request: repeat the cached response, do not re-process
         return [SendMsg(state.seen[key], sender)]
     reply_type = COAP_ACK if msg.mtype == COAP_CON else COAP_NON
-    if msg.code == "GET" and msg.uri_path in state.resources:
-        response = CoapMsg(reply_type, "2.05", msg.msg_id, msg.token,
-                           payload=state.resources[msg.uri_path])
-    else:
-        response = CoapMsg(reply_type, "4.04", msg.msg_id, msg.token)
+    response = CoapMsg(reply_type, "2.05", msg.msg_id, msg.token, payload=state.resource)
     state.requests_handled += 1
     state.seen[key] = response
     return [SendMsg(response, sender)]

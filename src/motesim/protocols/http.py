@@ -6,8 +6,6 @@ close. No keep-alive, so every request pays the full handshake and teardown.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .actions import (
     SERVER,
     ClientConfig,
@@ -81,15 +79,11 @@ def http_step(state: HttpClientState, event) -> list:
 # Server
 
 class HttpServerState:
-    def __init__(self, resources: Optional[dict[str, bytes]] = None):
-        self.resources = {} if resources is None else resources
+    def __init__(self, resource: bytes):
+        self.resource = resource  # served to every request
         self.requests_handled = 0
 
 
 def http_server_handle(state: HttpServerState, msg: HttpRequest, sender: str) -> list:
     state.requests_handled += 1
-    if msg.method == "GET" and msg.path in state.resources:
-        response = HttpResponse(200, state.resources[msg.path])
-    else:
-        response = HttpResponse(404)
-    return [SendMsg(response, sender)]
+    return [SendMsg(HttpResponse(200, state.resource), sender)]

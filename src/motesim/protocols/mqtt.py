@@ -133,18 +133,13 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
 
 class BrokerState:
     def __init__(self):
-        self.sessions: dict[str, str] = {}  # peer -> client_id
         self.received: list[tuple[str, MqttMsg]] = []
         self.acked_ids: dict[str, int] = {}  # dedup per publisher
 
 
 def broker_handle(state: BrokerState, msg: MqttMsg, sender: str) -> list:
     if msg.type == MQTT_CONNECT:
-        state.sessions[sender] = msg.client_id
         return [SendMsg(MqttMsg(MQTT_CONNACK, rc=0), sender)]
-
-    if sender not in state.sessions:
-        return [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == MQTT_PUBLISH:
         is_dup = msg.qos > 0 and state.acked_ids.get(sender, 0) >= msg.msg_id

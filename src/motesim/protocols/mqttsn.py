@@ -121,11 +121,7 @@ class GatewayState:
 
 def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> list:
     if msg.type == SN_CONNECT:
-        state.broker.sessions[sender] = msg.client_id
         return [SendMsg(MqttSnMsg(SN_CONNACK, rc=0), sender)]
-
-    if sender not in state.broker.sessions:
-        return [Notify("dropped", f"unknown session {sender}")]
 
     if msg.type == SN_REGISTER:
         if msg.topic not in state.topics:
@@ -135,8 +131,6 @@ def gateway_handle(state: GatewayState, msg: MqttSnMsg, sender: str) -> list:
         return [SendMsg(regack, sender)]
 
     if msg.type == SN_PUBLISH:
-        if not 0 < msg.topic_id <= len(state.topics):
-            return [Notify("translation-error", f"unknown topic id {msg.topic_id}")]
         publish = MqttMsg(MQTT_PUBLISH, topic=state.topics[msg.topic_id - 1], qos=msg.qos,
                           msg_id=msg.msg_id, payload=msg.payload, dup=msg.dup)
         if not broker_handle(state.broker, publish, sender):

@@ -87,15 +87,6 @@ def test_retransmission_backs_off_exponentially():
     assert state.unacked == {}
 
 
-def test_reset_aborts_exchange():
-    state, actions = _first_request()
-    request = sent(actions)[0]
-    rst = wire.CoapMsg(wire.COAP_RST, "EMPTY", request.msg_id)
-    actions = coap_exchange(state, MsgIn(rst, "server", 1.1))
-    assert state.unacked == {}
-    assert only(actions, Notify)[0].kind == "exchange-reset"
-
-
 def test_non_confirmable_mode_sends_without_retx_state():
     config = ClientConfig(qos=0)
     state, actions = _first_request(CoapClientState(config))
@@ -121,7 +112,7 @@ def test_stray_ack_is_ignored():
 # Server
 
 def test_server_answers_get_with_piggybacked_content():
-    state = CoapServerState(resources={"temperature": b"21C"})
+    state = CoapServerState(b"21C")
     request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"tok", "temperature")
     actions = coap_server_handle(state, request, "client")
     response = sent(actions)[0]
@@ -133,23 +124,8 @@ def test_server_answers_get_with_piggybacked_content():
     assert state.requests_handled == 1
 
 
-def test_server_unknown_path_is_404():
-    state = CoapServerState()
-    request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"", "nope")
-    actions = coap_server_handle(state, request, "client")
-    assert sent(actions)[0].code == "4.04"
-
-
-def test_server_answers_other_methods_with_404():
-    state = CoapServerState(resources={"temperature": b"21C"})
-    post = wire.CoapMsg(wire.COAP_CON, "POST", 4, b"", "temperature", payload=b"val")
-    actions = coap_server_handle(state, post, "client")
-    assert sent(actions)[0].code == "4.04"
-    assert state.resources == {"temperature": b"21C"}
-
-
 def test_server_repeats_cached_response_for_duplicates():
-    state = CoapServerState(resources={"temperature": b"21C"})
+    state = CoapServerState(b"21C")
     request = wire.CoapMsg(wire.COAP_CON, "GET", 3, b"tok", "temperature")
     first = coap_server_handle(state, request, "client")
     second = coap_server_handle(state, request, "client")
@@ -161,7 +137,7 @@ def test_server_repeats_cached_response_for_duplicates():
 
 
 def test_server_mirrors_non_confirmable_type():
-    state = CoapServerState(resources={"temperature": b"21C"})
+    state = CoapServerState(b"21C")
     request = wire.CoapMsg(wire.COAP_NON, "GET", 8, b"t", "temperature")
     actions = coap_server_handle(state, request, "client")
     assert sent(actions)[0].mtype == wire.COAP_NON

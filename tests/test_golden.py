@@ -197,6 +197,13 @@ HERD_GOLDEN = {
 }
 
 
+# An MQTT client that publishes every 45 s, longer than the 30 s keepalive: its
+# ping timer fires, a PINGREQ goes on air, the broker answers with a PINGRESP,
+# and the run notes nothing.
+KEEPALIVE_CASE = ScenarioConfig(protocol="mqtt", publish_period_s=45.0, duration_s=200.0)
+KEEPALIVE_GOLDEN = 'ec32158760c5afb3ded4ea3365fc536b10ccdaa650d7e69954f0b60da49bb3e2'
+
+
 def run_digest(protocol, tx_success, clients, duty, tmp_path) -> str:
     return config_digest(ScenarioConfig(protocol=protocol, tx_success=tx_success,
                                         clients=clients,
@@ -227,3 +234,7 @@ def test_same_tick_duty_cases_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", HERD_CASES)
 def test_many_sender_cases_match_golden(name, tmp_path):
     assert config_digest(HERD_CASES[name], tmp_path) == HERD_GOLDEN[name]
+
+
+def test_mqtt_keepalive_ping_run_matches_golden(tmp_path):
+    assert config_digest(KEEPALIVE_CASE, tmp_path) == KEEPALIVE_GOLDEN

@@ -105,24 +105,10 @@ def test_unexpected_response_ignored():
 # Server
 
 def test_server_serves_known_path():
-    state = HttpServerState(resources={"/temperature": b"21C"})
+    state = HttpServerState(b"21C")
     request = wire.HttpRequest("GET", "/temperature", "server")
     actions = http_server_handle(state, request, "client")
     response = sent(actions)[0]
     assert response.status == 200
     assert response.body == b"21C"
     assert state.requests_handled == 1
-
-
-def test_server_unknown_path_is_404():
-    state = HttpServerState(resources={"/temperature": b"21C"})
-    actions = http_server_handle(
-        state, wire.HttpRequest("GET", "/nope", "server"), "client")
-    assert sent(actions)[0].status == 404
-
-
-def test_server_rejects_non_get_methods():
-    state = HttpServerState(resources={"/temperature": b"21C"})
-    actions = http_server_handle(
-        state, wire.HttpRequest("POST", "/temperature", "server", b"x"), "client")
-    assert sent(actions)[0].status == 404
