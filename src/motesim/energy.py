@@ -22,7 +22,9 @@ class EnergestLedger:
     Each settle() takes over the CPU's ACTIVE total, counted by its owner.
     The radio accrues ticks into its state tag between changes, made by
     transition() or taken over with replayed_radio(), or, if it is never
-    off, takes over a TX total at settle() like the CPU.
+    off, takes over a TX total at settle() like the CPU. A motesim node
+    replays its changes; transition() is the booking path of the naive
+    medium that tests the replay.
     """
 
     cpu_ticks: int = 0

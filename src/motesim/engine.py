@@ -81,9 +81,6 @@ class Engine:
         self._live.add(seq)
         return seq
 
-    def call_in(self, delay_ticks: TickTime, fn: Callable, *args: Any) -> int:
-        return self.call_at(self.now + delay_ticks, fn, *args)
-
     def cancel(self, event_id: int) -> bool:
         """True iff the event existed and had not fired; cancelled events never run."""
         if event_id in self._live:

@@ -20,8 +20,6 @@ from .engine import RTIMER_HZ, Engine, Mark, TickTime, seconds_to_ticks
 # CC2420-class radio bit rate.
 RADIO_RATE_BPS = 250_000
 
-BROADCAST = "*"
-
 # Stream transport: retransmission timeout and retries after the first send.
 STREAM_RTO_TICKS = seconds_to_ticks(0.5)
 STREAM_MAX_RETRIES = 3
@@ -186,25 +184,20 @@ class RadioMedium:
         """Propagate a frame of air ticks already on air; return the nodes that receive it.
 
         Every in-range listener that is not itself sending accrues RX for the
-        airtime span; the frame is received only by its addressee (or
-        everyone, for broadcast) and only when the success draws pass. Loss
-        burns energy on both sides. The frame schedules no event: the
-        sender's end of TX delivers it to the receivers, in listener order.
-        Addressees hear the frame now (Node.hear); a unicast frame finds its
-        one addressee by id. Every other listener that is not sending only
-        moves its receive hold to the frame's end; one with duty cycling also
-        queues the frame, with whether its check round at now has run, for
-        Node._catch_up to replay. The frame takes one tx draw, then each
-        addressee that hears it one rx draw, in listener order.
+        airtime span; the frame is received only by its addressee, and only
+        when the success draws pass. Loss burns energy on both sides. The
+        frame schedules no event: the sender's end of TX delivers it to its
+        receiver. The addressee, found by id, hears the frame now
+        (Node.hear). Every other listener that is not sending only moves its
+        receive hold to the frame's end; one with duty cycling also queues
+        the frame, with whether its check round at now has run, for
+        Node._catch_up to replay. The frame takes one tx draw, then an
+        addressee that hears it one rx draw.
         """
         listeners, by_id = self._in_range.get(frame.src) or self._listeners(frame.src)
         link, rng = self.link, self.engine.rng
         tx_ok = link.tx_passes(rng)
-        dst = frame.dst
-        if dst == BROADCAST:
-            return [node for node in listeners
-                    if node.hear(now, air) and tx_ok and link.rx_passes(rng)]
-        target = by_id.get(dst)
+        target = by_id.get(frame.dst)
         receivers = ([target] if target is not None and target.hear(now, air) and tx_ok
                      and link.rx_passes(rng) else [])
         end = now + air

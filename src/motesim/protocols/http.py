@@ -29,9 +29,9 @@ RESPONSE_TIMEOUT_S = 5.0
 
 
 class HttpClientState:
-    def __init__(self, config: ClientConfig = ClientConfig(), phase: str = "idle"):
+    def __init__(self, config: ClientConfig = ClientConfig()):
         self.config = config
-        self.phase = phase  # idle, connecting, awaiting, closing
+        self.phase = "idle"  # idle, connecting, awaiting, closing
         self.responses: list[HttpResponse] = []
         self.requests_sent = 0
 

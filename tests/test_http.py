@@ -50,14 +50,16 @@ def test_request_tick_opens_fresh_connection():
 
 
 def test_request_tick_while_busy_only_reschedules():
-    state = HttpClientState(phase="awaiting")
+    state = HttpClientState()
+    state.phase = "awaiting"
     actions = http_step(state, TimerFired("request", 6.0))
     assert only(actions, OpenStream) == []
     assert any(t.key == "request" for t in only(actions, StartTimer))
 
 
 def test_stream_up_sends_get_and_arms_timeout():
-    state = HttpClientState(phase="connecting")
+    state = HttpClientState()
+    state.phase = "connecting"
     actions = http_step(state, StreamUp("server", 1.1))
     request = sent(actions)[0]
     assert request == wire.HttpRequest("GET", "/temperature", "server")
@@ -67,7 +69,8 @@ def test_stream_up_sends_get_and_arms_timeout():
 
 
 def test_response_recorded_then_connection_closed():
-    state = HttpClientState(phase="connecting")
+    state = HttpClientState()
+    state.phase = "connecting"
     http_step(state, StreamUp("server", 1.1))
     response = wire.HttpResponse(200, b"21C")
     actions = http_step(state, MsgIn(response, "server", 1.4))
@@ -80,14 +83,16 @@ def test_response_recorded_then_connection_closed():
 
 
 def test_response_timeout_gives_up_and_closes():
-    state = HttpClientState(phase="awaiting")
+    state = HttpClientState()
+    state.phase = "awaiting"
     actions = http_step(state, TimerFired("response", 6.1))
     assert only(actions, Notify)[0].kind == "request-failed"
     assert CloseStream("server") in actions
 
 
 def test_stream_failure_reported():
-    state = HttpClientState(phase="awaiting")
+    state = HttpClientState()
+    state.phase = "awaiting"
     actions = http_step(state, StreamDown("server", "failed", 3.0))
     assert state.phase == "idle"
     assert only(actions, Notify)[0].kind == "request-failed"
@@ -95,7 +100,7 @@ def test_stream_failure_reported():
 
 
 def test_unexpected_response_ignored():
-    state = HttpClientState(phase="idle")
+    state = HttpClientState()
     actions = http_step(state, MsgIn(wire.HttpResponse(200, b""), "server", 9.0))
     assert actions == []
     assert state.responses == []

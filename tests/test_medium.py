@@ -1,29 +1,31 @@
 """Radio medium: airtime, delivery rules, duty cycling, and both transports."""
 
-import heapq
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motesim.energy import EnergestLedger, RadioState
+from motesim import harness
+from motesim.energy import RadioState
 from motesim.engine import RTIMER_HZ, Engine, seconds_to_ticks
+from motesim.harness import PROTOCOLS, ScenarioConfig, simulate
 from motesim.medium import (
-    BROADCAST,
     CpuCostModel,
     DutyCycleConfig,
     FrameTooLarge,
     LinkModel,
     Node,
-    Overheads,
     RadioFrame,
     RadioMedium,
     airtime_ticks,
 )
 
+from naive_medium import NaiveMedium, NaiveNode
+
 NO_DUTY = DutyCycleConfig(enabled=False)
+# The node and medium classes of the fast medium and of its oracle.
+FAST, NAIVE = (Node, RadioMedium), (NaiveNode, NaiveMedium)
 
 
 class ScriptedLink(LinkModel):
@@ -95,7 +97,7 @@ def test_link_model_geometry():
     for node_id in ("edge", "beyond"):
         nodes[node_id].datagrams.on_datagram = (
             lambda src, data, node_id=node_id: heard.append(node_id))
-    nodes["a"].datagrams.send(BROADCAST, b"x")
+        nodes["a"].datagrams.send(node_id, b"x")
     engine.run(seconds_to_ticks(1))
     assert heard == ["edge"]  # exactly range_m away hears it, 0.01 m more does not
 
@@ -192,27 +194,6 @@ def test_sender_defers_tx_while_a_frame_is_inbound():
     engine.call_at(200, nodes["b"].datagrams.send, "a", b"eager")
     engine.run(seconds_to_ticks(1))
     assert sorted(got) == ["b", "b"]  # both of b's frames arrive
-
-
-def test_broadcast_reaches_receivers_in_listener_order_before_the_next_frame():
-    engine, medium, nodes = make_world(positions={
-        "a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0), "d": (-10.0, 0.0)})
-    sender = nodes["a"]
-    got = []
-    for node_id in "dbc":  # the order the nodes were registered in is b, c, d
-        node = nodes[node_id]
-        node.deliver = lambda frame, node=node, deliver=node.deliver: (
-            got.append((node.node_id, engine.now, frame.payload, len(sender._outbox))),
-            deliver(frame))
-    sender.datagrams.send(BROADCAST, b"one")
-    sender.datagrams.send(BROADCAST, b"two")
-    engine.run(seconds_to_ticks(1))
-    frame = sender.sent_frames[0]
-    end = CpuCostModel().frame_cost(frame, 9) + airtime_ticks(frame.length_bytes)
-    # "two" is still queued when "one" reaches its receivers at its end tick
-    assert got[:3] == [("b", end, b"one", 1), ("c", end, b"one", 1), ("d", end, b"one", 1)]
-    assert [entry[:1] + entry[2:] for entry in got[3:]] == [
-        ("b", b"two", 0), ("c", b"two", 0), ("d", b"two", 0)]
 
 
 def test_mtu_enforced():
@@ -332,79 +313,10 @@ def test_tx_ticks_equal_sum_of_sent_airtimes():
 
 
 # ---------------------------------------------------------------------------
-# CPU and always-on radio books: closed form against state transitions
-
-class TransitionBooks:
-    """Reference for the closed-form counters: books kept by state changes.
-
-    A charge that finds the CPU in LPM turns it ACTIVE, and the merged busy
-    window goes back to LPM at its own end, closed at the next charge or
-    settle; the ACTIVE spans are added up here. A radio without duty cycling
-    goes TX at each start of TX and back to RX at its end, or when it hears
-    a frame, by ledger transitions.
-    """
-
-    def __init__(self, now):
-        self.ledger = EnergestLedger(radio_state=RadioState.RX,
-                                     settled_at=now, last_radio_change=now)
-        self.busy_until = now
-        self.active_since = None  # start of the open ACTIVE span; None in LPM
-        self.active_ticks = 0  # ticks of the closed ACTIVE spans
-
-    def charge(self, now, ticks):
-        self._end_window(now)
-        if self.active_since is None:
-            self.active_since = self.busy_until = now
-        self.busy_until += ticks
-        return self.busy_until
-
-    def settle(self, now):
-        self._end_window(now)
-        open_span = 0 if self.active_since is None else now - self.active_since
-        return self.ledger.settle(now, self.active_ticks + open_span)
-
-    def _end_window(self, now):
-        if self.busy_until <= now and self.active_since is not None:
-            self.active_ticks += self.busy_until - self.active_since
-            self.active_since = None
-
-
-class TransitionNode(Node):
-    """A node without duty cycling that also keeps TransitionBooks."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.reference = TransitionBooks(self.engine.now)
-
-    def charge_cpu(self, ticks):
-        end = super().charge_cpu(ticks)
-        assert end == self.reference.charge(self.engine.now, ticks)
-        return end
-
-    def _start_tx(self, frame):
-        sent = len(self.sent_frames)
-        super()._start_tx(frame)
-        if len(self.sent_frames) > sent:
-            self.reference.ledger.transition(RadioState.TX, self.engine.now)
-
-    def _end_tx(self, frame, receivers):
-        super()._end_tx(frame, receivers)
-        self.reference.ledger.transition(RadioState.RX, self.engine.now)
-
-    def hear(self, now, air):
-        heard = super().hear(now, air)
-        if heard:
-            self.reference.ledger.transition(RadioState.RX, now)
-        return heard
-
+# CPU and always-on radio books: closed form against the naive medium
 
 def books(ledger):
     return ledger.cpu_ticks, ledger.lpm_ticks, ledger.tx_ticks, ledger.rx_ticks
-
-
-def assert_books_match(node):
-    now = node.engine.now
-    assert books(node.settle(now)) == books(node.reference.settle(now))
 
 
 def test_node_built_mid_run_books_nothing_before_it_exists():
@@ -423,24 +335,31 @@ CPU_STEPS = st.tuples(st.one_of(st.none(), st.integers(0, 80)),
                       st.one_of(st.none(), st.integers(0, 60)))
 
 
+def play_cpu_program(impl, program, created):
+    """Run a CPU program on an always-on node of impl; return its books at every settle."""
+    node_class, medium_class = impl
+    engine = Engine()
+    medium = medium_class(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
+    engine.run(created)
+    node = node_class("a", engine, medium, NO_DUTY)
+    settled = []
+    for gap, ticks in program:
+        engine.run(max(engine.now, node._cpu_busy_until) if gap is None
+                   else engine.now + gap)
+        if ticks is None:
+            settled.append(books(node.settle(engine.now)))
+        else:
+            node.charge_cpu(ticks)
+    engine.run(engine.now + 100)
+    return settled + [books(node.settle(engine.now))]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.lists(CPU_STEPS, max_size=30), st.integers(0, 3000))
 # zero-tick charge, settles mid-window and twice at one tick, charges at a window's end
 @example([(0, 0), (0, None), (None, 10), (5, None), (None, 7), (None, None), (None, None)], 0)
 def test_cpu_books_match_the_busy_window_rule(program, created):
-    engine = Engine()
-    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0)}))
-    engine.run(created)
-    node = TransitionNode("a", engine, medium, NO_DUTY)
-    for gap, ticks in program:
-        engine.run(max(engine.now, node.reference.busy_until) if gap is None
-                   else engine.now + gap)
-        if ticks is None:
-            assert_books_match(node)
-        else:
-            node.charge_cpu(ticks)
-    engine.run(engine.now + 100)
-    assert_books_match(node)
+    assert play_cpu_program(FAST, program, created) == play_cpu_program(NAIVE, program, created)
 
 
 # Steps of a radio program, each at a tick of a busy first 600: a datagram of
@@ -448,56 +367,62 @@ def test_cpu_books_match_the_busy_window_rule(program, created):
 # every node.
 RADIO_STEPS = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 90)),
-    st.tuples(st.just("hear"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 200)),
+    st.tuples(st.just("hear"), st.integers(0, 600), st.sampled_from("abc"), st.integers(1, 200)),
     st.tuples(st.just("settle"), st.integers(0, 600)),
 )
 
 
-def play_radio_program(program, cpu_cost):
-    """Run steps on three always-on nodes in range of each other, each step
-    scheduled before the run, so it precedes same-tick events of the run.
-    Returns the nodes and what each direct hear returned."""
+def play_radio_program(impl, program, cpu_cost):
+    """Run steps on three always-on nodes of impl in range of each other, each
+    step scheduled before the run, so it precedes same-tick events of the run.
+    Returns every node's books at every settle, and what each direct hear returned."""
+    node_class, medium_class = impl
     engine = Engine()
     positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0)}
-    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
-    nodes = {nid: TransitionNode(nid, engine, medium, NO_DUTY, cpu_cost) for nid in positions}
-    heard = []
+    medium = medium_class(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    nodes = {nid: node_class(nid, engine, medium, NO_DUTY, cpu_cost) for nid in positions}
+    settled, heard = [], []
+
+    def settle_all():
+        settled.append([books(node.settle(engine.now)) for node in nodes.values()])
+
     for kind, tick, *args in program:
         if kind == "send":
             node_id, size = args
-            dst = BROADCAST if size % 3 == 0 else "b" if node_id == "a" else "a"
+            dst = "abc".replace(node_id, "")[size % 2]
             engine.call_at(tick, nodes[node_id].datagrams.send, dst, bytes(size))
         elif kind == "hear":
             node_id, air = args
             engine.call_at(tick, lambda node, air: heard.append(node.hear(engine.now, air)),
                            nodes[node_id], air)
         else:
-            engine.call_at(tick, lambda: [assert_books_match(node) for node in nodes.values()])
+            engine.call_at(tick, settle_all)
     engine.run(5000)
-    for node in nodes.values():
-        assert_books_match(node)
-    return nodes, heard
+    settle_all()
+    return settled, heard
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.lists(RADIO_STEPS, max_size=25),
        st.sampled_from((CpuCostModel(), CpuCostModel(0, 0))))
 def test_always_on_radio_books_match_transitions(program, cpu_cost):
-    play_radio_program(program, cpu_cost)
+    assert (play_radio_program(FAST, program, cpu_cost)
+            == play_radio_program(NAIVE, program, cpu_cost))
 
 
 def test_always_on_radio_settled_mid_tx_and_hearing_as_its_tx_ends():
     air = airtime_ticks(20 + 21 + 9)
-    nodes, heard = play_radio_program([
-        ("send", 0, "a", 20),       # no CPU cost: a sends over [0, air)
+    program = [
+        ("send", 0, "a", 20),       # no CPU cost: a sends to b over [0, air)
         ("settle", air // 2),       # mid-TX
         ("hear", air, "a", 10),     # a hears at the tick its TX ends, before the end of TX runs
         ("settle", air),
         ("settle", air + 5),
-    ], CpuCostModel(0, 0))
+    ]
+    settled, heard = play_radio_program(FAST, program, CpuCostModel(0, 0))
+    assert (settled, heard) == play_radio_program(NAIVE, program, CpuCostModel(0, 0))
     assert heard == [True]
-    assert books(nodes["a"].ledger) == (0, 5000, air, 5000 - air)
-    assert books(nodes["b"].ledger) == (0, 5000, 0, 5000)
+    assert settled[-1][:2] == [(0, 5000, air, 5000 - air), (0, 5000, 0, 5000)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,137 +595,24 @@ def test_senders_that_defer_one_after_another_to_different_ticks_wake_apart():
 
 
 # ---------------------------------------------------------------------------
-# Replay: settle-only books against an eager replay through the general loop
-
-class GeneralReplayNode(Node):
-    """A duty-cycled node that replays at once wherever its radio or send
-    pipeline is touched, and books each radio change with a ledger
-    transition; its _catch_up replays every queued frame through the general
-    loop, without Node._catch_up's branch for the common entry."""
-
-    def _pump(self):
-        if self._pipeline_busy or not self._outbox:
-            return
-        self._catch_up(self.engine.now)
-        self._pipeline_busy = True
-        frame = self._outbox.popleft()
-        end = self.charge_cpu(self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes))
-        self.engine.call_at(end, self._start_tx, frame)
-
-    def _start_tx(self, frame):
-        now = self.engine.now
-        if self._rx_hold_until > now:
-            self.medium.defer_tx(self, frame, self._rx_hold_until)
-            return
-        air = airtime_ticks(frame.length_bytes)
-        self._catch_up(now)
-        self._check_until = min(self._check_until, now)  # abort any idle check
-        self.ledger.transition(RadioState.TX, now)
-        self._tx_until = now + air
-        self.sent_frames.append(frame)
-        receivers = self.medium.broadcast(frame, now, air)
-        self.engine.call_at(self._tx_until, self._end_tx, frame, receivers)
-
-    def _end_tx(self, frame, receivers):
-        for node in receivers:
-            node.deliver(frame)
-        now = self.engine.now
-        self._catch_up(now)
-        self.ledger.transition(RadioState.RX if self._listening(now) else RadioState.OFF, now)
-        self._pipeline_busy = False
-        self._pump()
-
-    def _listening(self, now):
-        return self._check_until > now or self._rx_hold_until > now
-
-    def hear(self, now, air):
-        if self._tx_until > now:
-            return False
-        self._rx_hold_until = max(self._rx_hold_until, now + air)
-        self._heard.append((now, air, self._round.last == now))
-        self._catch_up(now)
-        return True
-
-    def _catch_up(self, now):
-        heard = self._heard
-        ran = self._round.last == now
-        check = self._next_check
-        ends = self._ends
-        hold, hold_after = self._hold, self._hold_after
-        if (not heard and check > (now if ran else now - 1)
-                and not (ends and ends[0][0] <= now)
-                and not (hold_after is not None and hold <= now)):
-            return
-        heard.append((now, -1, ran))
-        ledger = self.ledger
-        state, since, rx = ledger.radio_state, ledger.last_radio_change, ledger.rx_ticks
-        check_until = self._check_until
-        busy = self._pipeline_busy
-        period = self._check_period
-        width = self.duty.check_duration_ticks
-        RX, OFF = RadioState.RX, RadioState.OFF
-        for start, air, ran in heard:
-            last_check = start if ran else start - 1
-            while True:
-                if (hold_after is not None and hold <= start
-                        and (hold < check or (hold == check and not hold_after))):
-                    hold_after = None
-                    if state is RX and check_until <= hold:
-                        rx += hold - since
-                        state, since = OFF, hold
-                    continue
-                if ends:
-                    end, after_check = ends[0]
-                    if end <= start and (end < check or (end == check and not after_check)):
-                        heapq.heappop(ends)
-                        if state is RX and check_until <= end and hold <= end:
-                            rx += end - since
-                            state, since = OFF, end
-                        continue
-                if check > last_check:
-                    break
-                if busy or state is not OFF:
-                    check += period
-                    continue
-                if width < period:
-                    closed = (last_check - check) // period
-                    rx += closed * width
-                    check += closed * period
-                state, since = RX, check
-                check_until = check + width
-                heapq.heappush(ends, (check_until, width <= period))
-                check += period
-            if air < 0:
-                break
-            if state is not RX:
-                if state is RadioState.TX:
-                    ledger.tx_ticks += start - since
-                state, since = RX, start
-            if start + air > hold:
-                hold = start + air
-                hold_after = air < period or (air == period and ran)
-        heard.clear()
-        self._next_check = check
-        self._check_until = check_until
-        self._hold, self._hold_after = hold, hold_after
-        ledger.replayed_radio(state, since, rx, ledger.tx_ticks)
-
+# Duty-cycled books: settle-only replay against the naive medium
 
 REPLAY_PERIOD = 128  # ticks between checks at 256 Hz
 REPLAY_IDS = "abcde"  # d is in range of b and e only
 # Payloads whose datagram frames take 32, 63, 127 (P - 1), 128 (P) and 129 ticks.
 REPLAY_PAYLOADS = (0, 0, 30, 91, 92, 93)
-REPLAY_AIRS = (0, 1, 2, 16, 32, 32) + tuple(range(REPLAY_PERIOD - 2, REPLAY_PERIOD + 3)) + (
+REPLAY_AIRS = (1, 2, 16, 32, 32) + tuple(range(REPLAY_PERIOD - 2, REPLAY_PERIOD + 3)) + (
     2 * REPLAY_PERIOD,)
 # A node's CPU cost per frame: none, so that its TX starts after the check
 # round at its tick, or P + 1, so that a TX on a check tick starts before it.
 REPLAY_COSTS = (CpuCostModel(0, 0), CpuCostModel(REPLAY_PERIOD + 1, 0))
 REPLAY_OFFSETS = st.sampled_from((-2, -1, 0, 1, 2, 33, 64, 97))
 # Steps, each at check k plus an offset: one to four datagrams from a node
-# with a payload to an addressee (itself for broadcast), queued where the
-# first one's CPU cost ends then; a frame of some airtime heard directly, before
-# the check round at its tick or (late) after it; or a settle of every node.
-# Airtimes near P make frames end next to check ticks and to other frames.
+# with a payload to an addressee (itself for a frame that every listener
+# overhears and none receives), queued where the first one's CPU cost ends
+# then; a frame of some airtime heard directly, before the check round at its
+# tick or (late) after it; or a settle of every node. Airtimes near P make
+# frames end next to check ticks and to other frames.
 REPLAY_STEPS = st.one_of(
     st.tuples(st.just("send"), st.integers(2, 6), REPLAY_OFFSETS,
               st.sampled_from(REPLAY_IDS), st.sampled_from(REPLAY_PAYLOADS),
@@ -811,13 +623,14 @@ REPLAY_STEPS = st.one_of(
 )
 
 
-def play_replay_program(node_class, width, costs, program):
-    """Run a program on duty-cycled nodes of node_class; return the books of
-    every settle and the (tick, src) of every frame sent."""
+def play_replay_program(impl, width, costs, program):
+    """Run a program on duty-cycled nodes of impl; return the books of every
+    settle and the (tick, src) of every frame sent."""
+    node_class, medium_class = impl
     engine = Engine()
     positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0), "d": (55.0, 0.0),
                  "e": (10.0, 5.0)}
-    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, positions))
+    medium = medium_class(engine, LinkModel(50.0, 1.0, 1.0, positions))
     duty = DutyCycleConfig(True, RTIMER_HZ // REPLAY_PERIOD, width)
     nodes = {node_id: node_class(node_id, engine, medium, duty, REPLAY_COSTS[cost])
              for node_id, cost in zip(REPLAY_IDS, costs)}
@@ -837,7 +650,7 @@ def play_replay_program(node_class, width, costs, program):
             node = nodes[src]
             for _ in range(count):
                 engine.call_at(tick - node.cpu_cost.ticks_per_message,
-                               node.datagrams.send, BROADCAST if dst == src else dst, bytes(size))
+                               node.datagrams.send, dst, bytes(size))
         elif kind == "hear":
             node_id, air, late = args
             if late:  # queued at the tick itself, after its check round
@@ -856,57 +669,22 @@ def play_replay_program(node_class, width, costs, program):
                         2 * REPLAY_PERIOD)),
        st.tuples(*[st.integers(0, len(REPLAY_COSTS) - 1)] * len(REPLAY_IDS)),
        st.lists(REPLAY_STEPS, min_size=5, max_size=30))
-# A frame of no airtime heard as the hold ends leaves the radio on.
-@example(0, (0,) * len(REPLAY_IDS),
-         [("hear", 1, 1, "a", 32, False), ("hear", 1, 33, "a", 0, False)])
 # A frame on a check tick, after its round: the check opens a window first.
 @example(32, (0,) * len(REPLAY_IDS),
          [("hear", 1, 33, "a", 16, False), ("hear", 2, 0, "a", 1, True)])
 # A frame of P + 1 ticks whose hold ends on a check tick, before the check.
 @example(32, (0,) * len(REPLAY_IDS),
          [("hear", 1, 33, "a", 32, False), ("hear", 2, -1, "a", REPLAY_PERIOD + 1, False)])
-def test_replay_books_match_the_general_loop(width, costs, program):
-    assert (play_replay_program(Node, width, costs, program)
-            == play_replay_program(GeneralReplayNode, width, costs, program))
+def test_replay_books_match_the_naive_medium(width, costs, program):
+    assert (play_replay_program(FAST, width, costs, program)
+            == play_replay_program(NAIVE, width, costs, program))
 
 
 # ---------------------------------------------------------------------------
-# Wake-ups and fan-out: the batched paths against one call per waiter and listener
-
-def draw_passes(probability, rng):
-    if probability >= 1.0:
-        return True
-    if probability <= 0.0:
-        return False
-    return rng.random() < probability
-
+# Wake-ups: one event for many waiters against one per waiter
 
 class PerWaiterMedium(RadioMedium):
-    """A medium whose wake-ups start every waiter through Node._start_tx, and
-    whose broadcast computes the airtime, compares dst with every listener
-    and draws through one helper per draw."""
-
-    def broadcast(self, frame, now, air):
-        air = airtime_ticks(frame.length_bytes)
-        end = now + air
-        rng = self.engine.rng
-        tx_ok = draw_passes(self.link.tx_success, rng)
-        dst = frame.dst
-        queued = None
-        receivers = []
-        listeners, _ = self._in_range.get(frame.src) or self._listeners(frame.src)
-        for node in listeners:
-            if dst == node.node_id or dst == BROADCAST:
-                if node.hear(now, air) and tx_ok and draw_passes(self.link.rx_success, rng):
-                    receivers.append(node)
-            elif node._tx_until <= now:
-                if end > node._rx_hold_until:
-                    node._rx_hold_until = end
-                if node._round is not None:
-                    if queued is None:
-                        queued = ((now, air, False), (now, air, True))
-                    node._heard.append(queued[node._round.last == now])
-        return receivers
+    """A medium whose wake-ups start every waiter through Node._start_tx."""
 
     def _start_deferred(self, waiting):
         for node, frame in waiting:
@@ -916,29 +694,28 @@ class PerWaiterMedium(RadioMedium):
 HERD_DUTIES = (NO_DUTY, DutyCycleConfig(True, 8, 32), DutyCycleConfig(True, 256, 128))
 # Steps: a run of 1-8 neighbouring senders, a tick offset from tick 1000
 # (mostly the same tick, or a few ticks apart, or a frame or two later), an
-# addressee (None for BROADCAST), a payload, and whether to open a stream to
-# the addressee instead.
+# addressee, a payload, and whether to open a stream to the addressee instead.
 HERD_STEPS = st.tuples(st.integers(0, 11), st.integers(1, 8),
-                       st.sampled_from((0, 0, 0, 0, 1, 3, 40, 150)),
-                       st.one_of(st.none(), st.integers(0, 11)),
+                       st.sampled_from((0, 0, 0, 0, 1, 3, 40, 150)), st.integers(0, 11),
                        st.sampled_from((0, 10, 40, 90)), st.booleans())
 
 
-def play_herd(medium_class, duties, range_m, cpu_cost, loss, steps):
-    """Run steps on nodes 10 m apart on a line; return the (tick, src) of every
-    frame sent, every node's settled books, the events dispatched and the
-    engine's next seq."""
+def play_herd(impl, duties, range_m, cpu_cost, loss, steps):
+    """Run steps on nodes of impl 10 m apart on a line; return the (tick, src)
+    of every frame sent, every node's settled books, the events dispatched
+    and the engine's next seq."""
+    node_class, medium_class = impl
     engine = Engine(7)
     positions = {f"n{i:02}": (10.0 * i, 0.0) for i in range(len(duties))}
     medium = medium_class(engine, LinkModel(range_m, *loss, positions))
-    nodes = [Node(node_id, engine, medium, HERD_DUTIES[duty], cpu_cost)
+    nodes = [node_class(node_id, engine, medium, HERD_DUTIES[duty], cpu_cost)
              for node_id, duty in zip(positions, duties)]
     sent = record_sends(medium)
     for first, count, offset, dst, size, stream in steps:
-        dst = BROADCAST if dst is None else nodes[dst % len(nodes)].node_id
+        dst = nodes[dst % len(nodes)].node_id
         for src in range(first, first + count):
             node = nodes[src % len(nodes)]
-            if stream and dst not in (BROADCAST, node.node_id):
+            if stream and dst != node.node_id:
                 engine.call_at(1000 + offset, node.streams.connect, dst)
             else:
                 engine.call_at(1000 + offset, node.datagrams.send, dst, bytes(size))
@@ -955,5 +732,52 @@ def play_herd(medium_class, duties, range_m, cpu_cost, loss, steps):
        st.lists(HERD_STEPS, min_size=1, max_size=8))
 def test_batched_wake_ups_and_fan_out_match_one_call_per_waiter_and_listener(
         duties, range_m, cpu_cost, loss, steps):
-    assert (play_herd(RadioMedium, duties, range_m, cpu_cost, loss, steps)
-            == play_herd(PerWaiterMedium, duties, range_m, cpu_cost, loss, steps))
+    """Sends and books match the naive medium's; the events dispatched and
+    the seqs taken also match a wake-up per waiter on the fast medium."""
+    fast = play_herd(FAST, duties, range_m, cpu_cost, loss, steps)
+    assert fast == play_herd((Node, PerWaiterMedium), duties, range_m, cpu_cost, loss, steps)
+    assert fast[:2] == play_herd(NAIVE, duties, range_m, cpu_cost, loss, steps)[:2]
+
+
+# ---------------------------------------------------------------------------
+# Whole runs: the fast medium against the naive medium
+
+# Duty cycling off, or checks at 8 Hz and 256 Hz with widths from none to two
+# periods, so that window ends, hold ends, checks and frames fall on one tick.
+ORACLE_DUTIES = [NO_DUTY] + [DutyCycleConfig(True, rate, width)
+                             for rate, period in ((8, 4096), (256, 128))
+                             for width in (0, 32, period - 1, period, period + 1, 2 * period)]
+
+ORACLE_CONFIGS = st.builds(
+    ScenarioConfig, protocol=st.sampled_from(PROTOCOLS), clients=st.integers(1, 5),
+    duration_s=st.sampled_from((2.0, 5.0)), interval_s=st.just(1.0),
+    seed=st.integers(0, 2**16), payload_bytes=st.integers(0, 60),
+    publish_period_s=st.sampled_from((0.125, 0.5)), publish_offset_s=st.sampled_from((0.0, 0.125)),
+    tx_success=st.sampled_from((1.0, 0.7)), rx_success=st.sampled_from((1.0, 0.8)),
+    range_m=st.sampled_from((50.0, 10.3)),  # at 10.3 m, clients 3 and 4 miss the server
+    duty=st.sampled_from(ORACLE_DUTIES),
+    cpu_cost=st.sampled_from((CpuCostModel(), CpuCostModel(0, 0))))
+
+
+def simulate_on(impl, config):
+    """Simulate config with the node and medium classes of impl; return the
+    trace rows, the (tick, src, dst, length) of every frame, and the notes."""
+    node_class, medium_class = impl
+    frames = []
+
+    class RecordingMedium(medium_class):
+        def broadcast(self, frame, now, air):
+            frames.append((now, frame.src, frame.dst, frame.length_bytes))
+            return super().broadcast(frame, now, air)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "Node", node_class)
+        patch.setattr(harness, "RadioMedium", RecordingMedium)
+        sim = simulate(config)
+    return {node_id: trace.rows for node_id, trace in sim.traces.items()}, frames, sim.events
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(ORACLE_CONFIGS)
+def test_whole_runs_match_the_naive_medium(config):
+    assert simulate_on(FAST, config) == simulate_on(NAIVE, config)
