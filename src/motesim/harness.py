@@ -132,8 +132,11 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"duty.check_rate_hz ({rate}) must be positive and divide {RTIMER_HZ}"
                 )
-            if self.duty.check_duration_ticks < 0:
-                raise ScenarioError("duty.check_duration_ticks must be >= 0")
+            width, period = self.duty.check_duration_ticks, RTIMER_HZ // rate
+            if not 0 <= width <= period:
+                raise ScenarioError(
+                    f"duty.check_duration_ticks ({width}) must lie in [0, {period}], the check "
+                    "period; set duty.enabled = false for a radio that never sleeps")
         try:
             largest = _largest_frame(self)
         except ValueError as err:

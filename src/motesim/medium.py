@@ -8,7 +8,6 @@ or not it is delivered.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import deque
@@ -264,12 +263,13 @@ class Node:
     processing cost, then the radio for its airtime. Inbound frames charge the
     same CPU cost at delivery before the payload reaches a transport.
 
-    With duty cycling, the radio wakes every check period P for a window of D
-    ticks if the send pipeline is idle and the radio is off. No state ends by
-    an event: the frames a node hears and its own pipeline and radio changes
-    are only queued, and settle() has _catch_up() replay them in order with
-    the checks and the ends of windows and receive holds due between them.
-    The receive hold, _rx_hold_until, is the end of the latest frame heard or
+    With duty cycling, the radio wakes every check period P for a window of
+    D <= P ticks if the send pipeline is idle and the radio is off. No state
+    ends by an event: the frames a node hears and its own pipeline and radio
+    changes are only queued, and settle() has _catch_up() replay them in
+    order with the checks and the radio's end due between them. A listening
+    radio has one end, the later of its window's and its receive hold's. The
+    receive hold, _rx_hold_until, is the end of the latest frame heard or
     queued, so a sender that must wait for it defers without a replay.
 
     The CPU, and a radio without duty cycling, change no ledger state: their
@@ -312,13 +312,13 @@ class Node:
             if duty.check_rate_hz <= 0 or RTIMER_HZ % duty.check_rate_hz != 0:
                 raise ValueError("check_rate_hz must evenly divide the tick rate")
             self._check_period = RTIMER_HZ // duty.check_rate_hz
+            if not 0 <= duty.check_duration_ticks <= self._check_period:
+                raise ValueError("check_duration_ticks must lie in [0, the check period]")
             self._round = engine.mark(self._check_period)
             self._next_check = engine.now
-            self._check_until: TickTime = 0  # end of the latest window, as replayed
             self._busy = False  # the pipeline as replayed so far
-            self._ends: list[tuple[TickTime, bool]] = []  # window ends: heap of (tick, after_check)
-            self._hold: TickTime = 0  # the receive hold as replayed so far
-            self._hold_after: Optional[bool] = None  # after_check of the hold end, until replayed
+            self._until: TickTime = 0  # where a listening radio goes off, as replayed
+            self._after = True  # whether that end sorts after a check at its tick
             self._heard: list[tuple[TickTime, int, bool]] = []  # (tick, air or point, round_ran)
 
     def settle(self, now: TickTime) -> EnergestLedger:
@@ -428,91 +428,72 @@ class Node:
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
-        idle and the radio is off. At the end of a window (an aborted one too)
-        or of the receive hold, the radio goes off unless still listening; a
-        hold end that a later frame extended would find it held, so only the
-        latest is kept. An end queued at tick q for a check tick e precedes
-        that check, as an event would, iff e - q > P, or e - q == P and the
-        round at q had not run when it was queued; so a window end precedes it
-        iff D > P. Ends commute with every other event at their tick, so an
-        end at now is due unless a check at now comes first.
+        idle and the radio is off. A listening radio has one end, the later of
+        its window's end and its receive hold's end, where it goes off. An end
+        queued at tick q for a check tick e precedes that check, as an event
+        would, iff e - q > P, or e - q == P and the round at q had not run when
+        it was queued; so a window's end (D <= P) never does. Of two ends at one
+        tick the one queued first stays, as it never sorts after the other.
+        Ends commute with every other event at their tick, so an end at now is
+        due unless a check at now comes first.
 
         An entry queued at tick s applies where it was queued: after the
-        checks and ends due then (the check at s iff its round had run), and
-        before the next one. A frame turns the radio on and may extend the
-        receive hold. The node's own points change its state there, exactly
-        as a replay up to the point followed by the change would: BUSY makes
-        the pipeline busy; TX_START books the radio up to s, puts it in TX and
-        aborts any idle check; TX_END books the TX, leaves the radio in RX if
-        a window or the receive hold is still open and off if not, and makes
-        the pipeline idle. The radio's state and counters are replayed in
-        locals and written back to the ledger once. The common entry in a
-        crowd, a frame that starts after the hold ended with nothing else due
-        or pending before it, is booked in one step.
+        checks and the end due then (the check at s iff its round had run),
+        and before the next one. A frame turns the radio on and may move its
+        end later. The node's own points change its state there, exactly as a
+        replay up to the point followed by the change would: BUSY makes the
+        pipeline busy; TX_START books the radio up to s, puts it in TX and
+        aborts any open window; TX_END books the TX, leaves the radio in RX if
+        its end lies past s and off if not, and makes the pipeline idle. The
+        radio's state and counters are replayed in locals and written back to
+        the ledger once. The common entry in a crowd, a frame that starts after
+        the radio's end with no check due before it, is booked in one step.
         """
         heard = self._heard
         heard.append((now, SETTLE, self._round.last == now))
         ledger = self.ledger
         state, since = ledger.radio_state, ledger.last_radio_change
         rx, tx = ledger.rx_ticks, ledger.tx_ticks
-        check, check_until, busy = self._next_check, self._check_until, self._busy
-        ends = self._ends
-        hold, hold_after = self._hold, self._hold_after
+        check, busy, until, after = self._next_check, self._busy, self._until, self._after
         period = self._check_period
         width = self.duty.check_duration_ticks
         RX, TX, OFF = RadioState.RX, RadioState.TX, RadioState.OFF
         for start, air, ran in heard:
-            if air > 0 and hold_after is not None and hold <= start < check and not ends:
-                # The common entry: a frame that starts after the hold ended,
-                # with no check due before it and no window end pending. The
-                # radio is in RX for the hold alone (an open window would
-                # have its end pending), so RX stops at the hold end and
+            if air > 0 and state is RX and until <= start < check:
+                # The common entry: a frame that starts after the radio's end,
+                # with no check due before it, so RX stops at the end and
                 # starts again with the frame.
-                rx += hold - since
-                since, hold = start, start + air
-                hold_after = air < period or (air == period and ran)
+                rx += until - since
+                since, until = start, start + air
+                after = air < period or (air == period and ran)
                 continue
             last_check = start if ran else start - 1
             while True:
-                if (hold_after is not None and hold <= start
-                        and (hold < check or (hold == check and not hold_after))):
-                    # A window end before it is due too, but finds the radio held.
-                    hold_after = None
-                    if state is RX and check_until <= hold:
-                        rx += hold - since
-                        state, since = OFF, hold
-                    continue
-                if ends:
-                    end, after_check = ends[0]
-                    if end <= start and (end < check or (end == check and not after_check)):
-                        heapq.heappop(ends)
-                        if state is RX and check_until <= end and hold <= end:
-                            rx += end - since
-                            state, since = OFF, end
-                        continue
+                if (state is RX and until <= start
+                        and (until < check or (until == check and not after))):
+                    rx += until - since
+                    state, since = OFF, until
                 if check > last_check:
                     break
                 if busy or state is not OFF:
                     check += period  # preempted by outbound traffic, or already listening
                     continue
                 if width < period:
-                    # Each window closes before the next check and nothing else
-                    # is pending, so all due windows but the last add D at once.
+                    # Each window closes before the next check, so all due
+                    # windows but the last add D at once.
                     closed = (last_check - check) // period
                     rx += closed * width
                     check += closed * period
                 state, since = RX, check
-                check_until = check + width
-                heapq.heappush(ends, (check_until, width <= period))
+                until, after = check + width, True
                 check += period
             if air >= 0:
                 if state is not RX:
                     if state is TX:  # heard at the tick its own TX ends
                         tx += start - since
                     state, since = RX, start
-                if start + air > hold:
-                    hold = start + air
-                    hold_after = air < period or (air == period and ran)
+                if start + air > until:
+                    until, after = start + air, air < period or (air == period and ran)
             elif air == BUSY:
                 busy = True
             elif air == SETTLE:
@@ -524,14 +505,13 @@ class Node:
                     tx += start - since
                 if air == TX_START:
                     state = TX
-                    check_until = min(check_until, start)  # abort any idle check
+                    until = min(until, start)  # abort any open window
                 else:
-                    state = RX if check_until > start or hold > start else OFF
+                    state = RX if until > start else OFF
                     busy = False
                 since = start
         heard.clear()
-        self._next_check, self._check_until, self._busy = check, check_until, busy
-        self._hold, self._hold_after = hold, hold_after
+        self._next_check, self._busy, self._until, self._after = check, busy, until, after
         ledger.replayed_radio(state, since, rx, tx)
 
     # -- CPU accounting ----------------------------------------------------

@@ -126,6 +126,13 @@ def test_every_frame_of_a_valid_config_lasts_at_least_two_ticks():
     assert airtime_ticks(1) == 2
 
 
+def test_a_listen_window_fits_its_check_period():
+    with pytest.raises(ScenarioError, match=r"duty\.check_duration_ticks.*enabled = false"):
+        ScenarioConfig(duty=DutyCycleConfig(True, 8, 4097)).validate()
+    config = ScenarioConfig(duration_s=10, interval_s=5, duty=DutyCycleConfig(True, 8, 4096))
+    assert len(simulate(config.validate()).report_trace().rows) == 2
+
+
 def test_an_int_serves_where_the_default_is_a_float():
     assert ScenarioConfig(duration_s=100).validate().duration_s == 100
     as_ints = dict(duration_s=20, interval_s=10, range_m=50, client_pos=(0, 0),

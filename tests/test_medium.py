@@ -256,6 +256,14 @@ def test_duty_check_rate_must_divide_tick_rate():
         Node("a", engine, medium, DutyCycleConfig(True, 7, 8))
 
 
+def test_duty_check_window_must_fit_its_period():
+    engine = Engine()
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, {"a": (0.0, 0.0), "b": (1.0, 0.0)}))
+    Node("a", engine, medium, DutyCycleConfig(True, 8, 4096))  # D = P
+    with pytest.raises(ValueError, match="check_duration_ticks"):
+        Node("b", engine, medium, DutyCycleConfig(True, 8, 4097))
+
+
 def test_duty_cycled_receiver_wakes_for_frame():
     engine, medium, nodes = make_world(duty=DutyCycleConfig(True, 8, 32))
     got = []
@@ -367,7 +375,7 @@ def test_cpu_books_match_the_busy_window_rule(program, created):
 # every node.
 RADIO_STEPS = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 90)),
-    st.tuples(st.just("hear"), st.integers(0, 600), st.sampled_from("abc"), st.integers(1, 200)),
+    st.tuples(st.just("hear"), st.integers(0, 600), st.sampled_from("abc"), st.integers(0, 200)),
     st.tuples(st.just("settle"), st.integers(0, 600)),
 )
 
@@ -601,7 +609,7 @@ REPLAY_PERIOD = 128  # ticks between checks at 256 Hz
 REPLAY_IDS = "abcde"  # d is in range of b and e only
 # Payloads whose datagram frames take 32, 63, 127 (P - 1), 128 (P) and 129 ticks.
 REPLAY_PAYLOADS = (0, 0, 30, 91, 92, 93)
-REPLAY_AIRS = (1, 2, 16, 32, 32) + tuple(range(REPLAY_PERIOD - 2, REPLAY_PERIOD + 3)) + (
+REPLAY_AIRS = (0, 1, 2, 16, 32, 32) + tuple(range(REPLAY_PERIOD - 2, REPLAY_PERIOD + 3)) + (
     2 * REPLAY_PERIOD,)
 # A node's CPU cost per frame: none, so that its TX starts after the check
 # round at its tick, or P + 1, so that a TX on a check tick starts before it.
@@ -665,8 +673,7 @@ def play_replay_program(impl, width, costs, program):
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(st.sampled_from((0, 32, REPLAY_PERIOD - 1, REPLAY_PERIOD, REPLAY_PERIOD + 1,
-                        2 * REPLAY_PERIOD)),
+@given(st.sampled_from((0, 32, REPLAY_PERIOD - 1, REPLAY_PERIOD)),
        st.tuples(*[st.integers(0, len(REPLAY_COSTS) - 1)] * len(REPLAY_IDS)),
        st.lists(REPLAY_STEPS, min_size=5, max_size=30))
 # A frame on a check tick, after its round: the check opens a window first.
@@ -675,6 +682,10 @@ def play_replay_program(impl, width, costs, program):
 # A frame of P + 1 ticks whose hold ends on a check tick, before the check.
 @example(32, (0,) * len(REPLAY_IDS),
          [("hear", 1, 33, "a", 32, False), ("hear", 2, -1, "a", REPLAY_PERIOD + 1, False)])
+# A frame of no airtime heard as the receive hold ends: the radio goes off
+# with the hold.
+@example(0, (0,) * len(REPLAY_IDS),
+         [("hear", 1, 1, "a", 32, False), ("hear", 1, 33, "a", 0, False)])
 def test_replay_books_match_the_naive_medium(width, costs, program):
     assert (play_replay_program(FAST, width, costs, program)
             == play_replay_program(NAIVE, width, costs, program))
@@ -742,11 +753,11 @@ def test_batched_wake_ups_and_fan_out_match_one_call_per_waiter_and_listener(
 # ---------------------------------------------------------------------------
 # Whole runs: the fast medium against the naive medium
 
-# Duty cycling off, or checks at 8 Hz and 256 Hz with widths from none to two
-# periods, so that window ends, hold ends, checks and frames fall on one tick.
+# Duty cycling off, or checks at 8 Hz and 256 Hz with widths from none to one
+# period, so that window ends, hold ends, checks and frames fall on one tick.
 ORACLE_DUTIES = [NO_DUTY] + [DutyCycleConfig(True, rate, width)
                              for rate, period in ((8, 4096), (256, 128))
-                             for width in (0, 32, period - 1, period, period + 1, 2 * period)]
+                             for width in (0, 32, period - 1, period)]
 
 ORACLE_CONFIGS = st.builds(
     ScenarioConfig, protocol=st.sampled_from(PROTOCOLS), clients=st.integers(1, 5),
