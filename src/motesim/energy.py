@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -84,7 +84,8 @@ class EnergestLedger:
         self.last_radio_change = now
 
     def snapshot(self) -> "EnergestLedger":
-        return replace(self)
+        return EnergestLedger(self.cpu_ticks, self.lpm_ticks, self.tx_ticks, self.rx_ticks,
+                              self.radio_state, self.settled_at, self.last_radio_change)
 
 
 class CurrentProfile(NamedTuple):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
 # RTimer ticks per second on the modeled platform.
@@ -77,7 +77,7 @@ class Engine:
             raise ValueError(f"schedule at tick {fire_at} is in the past (now {self.now})")
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (fire_at, seq, fn, args))
+        heappush(self._heap, (fire_at, seq, fn, args))
         self._live.add(seq)
         return seq
 
@@ -120,7 +120,7 @@ class Engine:
         """Dispatch every event with fire_at <= until in (fire_at, seq) order."""
         if until < self.now:
             raise ValueError(f"run until tick {until} is in the past (now {self.now})")
-        heap, live, pop = self._heap, self._live, heapq.heappop
+        heap, live, pop = self._heap, self._live, heappop
         dispatched = 0
         while heap and heap[0][0] <= until:
             fire_at, seq, fn, args = pop(heap)

@@ -200,15 +200,14 @@ class RadioMedium:
         receivers = ([target] if target is not None and target.hear(now, air) and tx_ok
                      and link.rx_passes(rng) else [])
         end = now + air
-        queued = None  # built on first use: one entry per round_ran, shared by every queue
+        entries = ((now, air, False), (now, air, True))  # by round_ran, shared by every queue
         for node in listeners:
             if node is not target and node._tx_until <= now:
                 if end > node._rx_hold_until:
                     node._rx_hold_until = end
-                if node._round is not None:
-                    if queued is None:
-                        queued = ((now, air, False), (now, air, True))
-                    node._heard.append(queued[node._round.last == now])
+                rnd = node._round
+                if rnd is not None:
+                    node._heard.append(entries[rnd.last == now])
         return receivers
 
     def defer_tx(self, node: "Node", frame: RadioFrame, until: TickTime) -> None:
@@ -249,11 +248,14 @@ class RadioMedium:
                 continue
             node._start_tx(frame)
             if i < last:
-                rest = waiting[i + 1:]
-                until = rest[0][0]._rx_hold_until
-                if until > now and all(waiter._rx_hold_until == until for waiter, _ in rest):
-                    self._new_group(until, rest)
-                    return
+                until = waiting[i + 1][0]._rx_hold_until
+                if until > now:
+                    for j in range(i + 2, last + 1):
+                        if waiting[j][0]._rx_hold_until != until:
+                            break
+                    else:
+                        self._new_group(until, waiting[i + 1:])
+                        return
 
 
 class Node:
@@ -344,19 +346,19 @@ class Node:
                 f"frame of {frame.length_bytes} B exceeds MTU "
                 f"{self.medium.overheads.mtu_bytes} B"
             )
-        self._outbox.append(frame)
-        self._pump()
+        if self._pipeline_busy:
+            self._outbox.append(frame)
+        else:
+            self._process(frame)
 
-    def _pump(self) -> None:
-        if self._pipeline_busy or not self._outbox:
-            return
+    def _process(self, frame: RadioFrame) -> None:
+        """Take frame into the idle pipeline: book it busy, charge the CPU
+        the frame's cost, and start its TX when that charge completes."""
         if self._round is not None:
             now = self.engine.now
             self._heard.append((now, BUSY, self._round.last == now))
         self._pipeline_busy = True
-        frame = self._outbox.popleft()
-        cost = self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes)
-        end = self.charge_cpu(cost)
+        end = self.charge_cpu(self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes))
         self.engine.call_at(end, self._start_tx, frame)
 
     def _start_tx(self, frame: RadioFrame) -> None:
@@ -385,8 +387,10 @@ class Node:
         if self._round is not None:
             now = self.engine.now
             self._heard.append((now, TX_END, self._round.last == now))
-        self._pipeline_busy = False
-        self._pump()
+        if self._outbox:
+            self._process(self._outbox.popleft())
+        else:
+            self._pipeline_busy = False
 
     # -- inbound path ------------------------------------------------------
 

@@ -34,28 +34,23 @@ def take_sample(
     Each state's power uses the interval as the runtime, so rows are mutually
     independent and a full-interval state yields exactly I * V.
     """
-    ticks = {
-        "cpu": now.cpu_ticks - prev.cpu_ticks,
-        "lpm": now.lpm_ticks - prev.lpm_ticks,
-        "tx": now.tx_ticks - prev.tx_ticks,
-        "rx": now.rx_ticks - prev.rx_ticks,
-    }
-    for name, delta in ticks.items():
-        if delta < 0:
-            raise LedgerRegression(f"{name} counter decreased by {-delta} ticks")
-    cpu_mw = component_power(ticks["cpu"], profile.cpu_active_ma, profile.voltage_v,
-                             RTIMER_HZ, interval_s)
-    lpm_mw = component_power(ticks["lpm"], profile.lpm_ma, profile.voltage_v,
-                             RTIMER_HZ, interval_s)
-    tx_mw = component_power(ticks["tx"], profile.tx_ma, profile.voltage_v,
-                            RTIMER_HZ, interval_s)
-    rx_mw = component_power(ticks["rx"], profile.rx_ma, profile.voltage_v,
-                            RTIMER_HZ, interval_s)
+    cpu = now.cpu_ticks - prev.cpu_ticks
+    lpm = now.lpm_ticks - prev.lpm_ticks
+    tx = now.tx_ticks - prev.tx_ticks
+    rx = now.rx_ticks - prev.rx_ticks
+    if cpu < 0 or lpm < 0 or tx < 0 or rx < 0:
+        for name, delta in (("cpu", cpu), ("lpm", lpm), ("tx", tx), ("rx", rx)):
+            if delta < 0:
+                raise LedgerRegression(f"{name} counter decreased by {-delta} ticks")
+    voltage = profile.voltage_v
+    cpu_mw = component_power(cpu, profile.cpu_active_ma, voltage, RTIMER_HZ, interval_s)
+    lpm_mw = component_power(lpm, profile.lpm_ma, voltage, RTIMER_HZ, interval_s)
+    tx_mw = component_power(tx, profile.tx_ma, voltage, RTIMER_HZ, interval_s)
+    rx_mw = component_power(rx, profile.rx_ma, voltage, RTIMER_HZ, interval_s)
     interval_end_s = now.settled_at / RTIMER_HZ
     sample = PowerSample(interval_end_s, cpu_mw, lpm_mw, tx_mw, rx_mw,
                          total_power(cpu_mw, lpm_mw, tx_mw, rx_mw))
-    return TraceRow(interval_end_s, ticks["cpu"], ticks["lpm"], ticks["tx"],
-                    ticks["rx"], sample)
+    return TraceRow(interval_end_s, cpu, lpm, tx, rx, sample)
 
 
 def summarize(samples: Sequence[PowerSample]) -> PowerSample:

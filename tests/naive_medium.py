@@ -112,7 +112,7 @@ class NaiveNode:
         if self._tx_until > now:
             return False
         self.ledger.transition(RX, now)
-        if now + air > self._rx_hold_until:
+        if now + air >= self._rx_hold_until:
             self._rx_hold_until = now + air
             if self.duty.enabled:
                 self.engine.call_at(now + air, self._radio_off)

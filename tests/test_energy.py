@@ -103,6 +103,16 @@ def test_snapshot_is_independent_copy():
     assert ledger.cpu_ticks == 90
 
 
+def test_snapshot_copies_every_field():
+    ledger = EnergestLedger(cpu_ticks=1, lpm_ticks=2, tx_ticks=3, rx_ticks=4,
+                            radio_state=RadioState.TX, settled_at=5, last_radio_change=6)
+    snap = ledger.snapshot()
+    assert snap == ledger and snap is not ledger
+    ledger.settle(20, cpu_ticks=8)
+    ledger.transition(RadioState.RX, 20)
+    assert snap == EnergestLedger(1, 2, 3, 4, RadioState.TX, 5, 6)
+
+
 def test_random_walk_conserves_every_tick():
     # against a naive per-segment recomputation, over many random walks
     rng = random.Random(20240917)

@@ -686,6 +686,9 @@ def play_replay_program(impl, width, costs, program):
 # with the hold.
 @example(0, (0,) * len(REPLAY_IDS),
          [("hear", 1, 1, "a", 32, False), ("hear", 1, 33, "a", 0, False)])
+# A frame of no airtime heard after a width-0 window has ended at its tick:
+# the radio goes off at once.
+@example(0, (0,) * len(REPLAY_IDS), [("hear", 0, 0, "a", 0, True), ("settle", 1, 0)])
 def test_replay_books_match_the_naive_medium(width, costs, program):
     assert (play_replay_program(FAST, width, costs, program)
             == play_replay_program(NAIVE, width, costs, program))

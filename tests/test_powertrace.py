@@ -62,13 +62,12 @@ def test_take_sample_diffs_against_previous_snapshot():
     assert row.interval_end_s == 2.0
 
 
-def test_counter_regression_is_an_error():
-    profile = CurrentProfile()
-    ahead = EnergestLedger()
-    ahead.settle(1000, cpu_ticks=1000)
+@pytest.mark.parametrize("counter", ["cpu", "lpm", "tx", "rx"])
+def test_counter_regression_is_an_error(counter):
+    ahead = EnergestLedger(**{f"{counter}_ticks": 1000})
     behind = EnergestLedger()
-    with pytest.raises(LedgerRegression):
-        take_sample(ahead, behind, profile, 1.0)
+    with pytest.raises(LedgerRegression, match=f"^{counter} counter decreased by 1000 ticks$"):
+        take_sample(ahead, behind, CurrentProfile(), 1.0)
 
 
 def test_summarize_single_row_is_identity():
