@@ -24,8 +24,8 @@ STREAM_RTO_TICKS = seconds_to_ticks(0.5)
 STREAM_MAX_RETRIES = 3
 
 # A duty-cycled node's own points, queued in Node._heard in place of a frame's
-# airtime: a settle, the pipeline turning busy, and the start and end of a TX.
-SETTLE, BUSY, TX_START, TX_END = -1, -2, -3, -4
+# airtime: a settle, the pipeline turning busy, a TX's end and start, a frame missed.
+SETTLE, BUSY, TX_END, TX_START, DEAF = -1, -2, -3, -4, -5
 
 
 class FrameTooLarge(ValueError):
@@ -134,11 +134,153 @@ class StreamConn:
         self.sendq: list[StreamSegment] = []  # short; an empty deque is 10x a list
 
 
+class ListenerGroup:
+    """Duty-cycled nodes with one check round, listen width and closed
+    neighbourhood (a node and its listeners) hear the frames sent from inside
+    it, but their own, and no other. Each is logged once, as (tick, air,
+    round_ran, addressee) numbered from 0, until every member has replayed it
+    (`pos`: each one's next frame). If shared, the log is replayed for a member
+    that never sends, its pipeline idle or busy: `refs[busy][i]` is its state
+    ((state, since, until, after, next check), RX ticks) before frame base + i.
+    """
+
+    __slots__ = ("mark", "width", "log", "base", "pos", "refs")
+
+    def __init__(self, mark: Mark, width: int):
+        self.mark, self.width, self.base, self.pos = mark, width, 0, {}
+        self.log: list[tuple[TickTime, int, bool, str]] = []
+        start = ((RadioState.OFF, 0, 0, True, 0), 0)  # any state will do
+        self.refs = ([start], [start])
+
+    def join(self, node: "Node") -> None:
+        node._group, self.pos[node.node_id] = self, self.base
+
+    def caught_up(self, node_id: str, pos: int) -> None:
+        """Move a member on to frame pos; drop what all members have replayed."""
+        self.pos[node_id] = pos
+        drop = min(self.pos.values()) - self.base
+        if drop > 0:
+            del self.log[:drop]
+            for ref in self.refs:  # one not run that far goes on from there as it stands
+                del ref[:min(drop, len(ref) - 1)]
+            self.base += drop
+
+    def replay(self, st: tuple, pos: int, heard: list[tuple], me: Optional[str]) -> tuple:
+        """Replay, from the state st (state, since, until, after, next check,
+        busy, RX ticks, TX ticks), the log from frame pos with the entries of
+        member me, each (frame number, tick, air or point, round_ran) placed
+        before that frame and the last a settle, and the checks and radio ends
+        due among them; return st and the next frame's number. A member skips
+        the frames it sent, was deaf to or heard through hear(): they have
+        entries. Over a stretch with none, one in the state of the reference for
+        its pipeline takes its RX ticks at once. With me None, record a reference.
+
+        A check at tick t is due if t < now, or t == now and the check round
+        for now has run. It opens a window [t, t + D) only if the pipeline is
+        idle and the radio is off. A listening radio has one end, the later of
+        its window's end and its receive hold's end, where it goes off. An end
+        queued at tick q for a check tick e precedes that check, as an event
+        would, iff e - q > P, or e - q == P and the round at q had not run when
+        it was queued; so a window's end (D <= P) never does. Of two ends at one
+        tick the one queued first stays, as it never sorts after the other.
+        Ends commute with every other event at their tick, so an end at now is
+        due unless a check at now comes first.
+
+        An entry queued at tick s applies where it was queued: after the
+        checks and the end due then (the check at s iff its round had run),
+        and before the next one. A frame turns the radio on and may move its
+        end later. The node's own points change its state there, exactly as a
+        replay up to the point followed by the change would: BUSY makes the
+        pipeline busy; TX_START books the radio up to s, puts it in TX and
+        aborts any open window; TX_END books the TX, leaves the radio in RX if
+        its end lies past s and off if not, and makes the pipeline idle.
+        """
+        state, since, until, after, check, busy, rx, tx = st
+        log, base = self.log, self.base
+        record = self.refs[busy] if me is None else None
+        refs = self.refs if me is not None and len(self.pos) > 1 else None
+        period, width = self.mark.period, self.width
+        RX, TX, OFF = RadioState.RX, RadioState.TX, RadioState.OFF
+        skip, hi, k = -1, 0, heard[0][0]
+        while True:
+            if record is not None and pos - base == len(record):
+                record.append(((state, since, until, after, check), rx))
+            if pos < k:
+                start, air, ran, dst = log[pos - base]
+                pos += 1
+                if pos == skip or dst == me:
+                    continue
+                if refs is not None:
+                    ref = refs[busy]
+                    if len(ref) <= k - base:  # run it on to the log's end; a settle
+                        known, ref_rx = ref[-1]  # at tick -1 replays no check
+                        self.replay((*known, busy, ref_rx, 0), base + len(ref) - 1,
+                                    [(base + len(log), -1, SETTLE, False)], None)
+                    known, rx0 = ref[pos - 1 - base]
+                    if known == (state, since, until, after, check):
+                        (state, since, until, after, check), rx1 = ref[k - base]
+                        rx, pos = rx + rx1 - rx0, k
+                        continue
+            else:
+                _, start, air, ran = heard[hi]
+                hi += 1
+                if air != SETTLE:
+                    k = heard[hi][0]
+                if air <= TX_START:  # the next frame is its own, or one it was deaf to
+                    skip = pos + 1
+                    if air == DEAF:
+                        continue
+            last_check = start if ran else start - 1
+            while True:
+                if (state is RX and until <= start
+                        and (until < check or (until == check and not after))):
+                    rx += until - since
+                    state, since = OFF, until
+                if check > last_check:
+                    break
+                if busy or state is not OFF:
+                    check += period  # preempted by outbound traffic, or already listening
+                    continue
+                if width < period:
+                    # Each window closes before the next check, so all due
+                    # windows but the last add D at once.
+                    closed = (last_check - check) // period
+                    rx += closed * width
+                    check += closed * period
+                state, since = RX, check
+                until, after = check + width, True
+                check += period
+            if air >= 0:
+                if state is not RX:
+                    if state is TX:  # heard at the tick its own TX ends
+                        tx += start - since
+                    state, since = RX, start
+                if start + air > until:
+                    until, after = start + air, air < period or (air == period and ran)
+            elif air == BUSY:
+                busy = True
+            elif air == SETTLE:
+                break
+            else:
+                if state is RX:
+                    rx += start - since
+                elif state is TX:
+                    tx += start - since
+                if air == TX_START:
+                    state = TX
+                    until = min(until, start)  # abort any open window
+                else:
+                    state = RX if until > start else OFF
+                    busy = False
+                since = start
+        return (state, since, until, after, check, busy, rx, tx), pos
+
+
 class RadioMedium:
     """Node registry plus the broadcast propagation rule.
 
-    Positions never move, so each source's in-range listeners are computed
-    once, in registration order, and reused until the next add_node().
+    Positions never move, so each node's in-range listeners and group are
+    computed once, in registration order, and reused until the next add_node().
     """
 
     def __init__(self, engine: Engine, link: LinkModel, overheads: Overheads = Overheads()):
@@ -147,13 +289,18 @@ class RadioMedium:
         self.overheads = overheads
         self.nodes: dict[str, "Node"] = {}
         self.conn_ids = itertools.count(1)
-        self._in_range: dict[str, tuple[list["Node"], dict[str, "Node"]]] = {}
+        self._in_range: dict[str, tuple] = {}  # listeners, them by id, groups logging it
         # The newest group of deferred senders: (tick, event id, [(node, frame)])
         self._deferred: Optional[tuple[TickTime, int, list]] = None
 
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
             raise ValueError(f"no position for node {node.node_id!r}")
+        if self._in_range:  # it may regroup others: each replays its group's log first
+            for other in self.nodes.values():
+                if other._round is not None:
+                    other._catch_up(self.engine.now)
+                    ListenerGroup(other._round, other.duty.check_duration_ticks).join(other)
         self.nodes[node.node_id] = node
         self._in_range.clear()
 
@@ -170,14 +317,23 @@ class RadioMedium:
         self._in_range.clear()
         self._deferred = None
 
-    def _listeners(self, src: str) -> tuple[list["Node"], dict[str, "Node"]]:
-        """Cache and return the nodes other than src within radio range of it:
-        in registration order, and the same nodes by id."""
+    def _layout(self) -> dict:
+        """Cache each node's listeners, the nodes in range of it in registration
+        order, and put the duty-cycled nodes into groups, made in that order."""
         positions, range_m = self.link.positions, self.link.range_m
-        listeners = [node for node_id, node in self.nodes.items() if node_id != src
-                     and math.dist(positions[src], positions[node_id]) <= range_m]
-        cached = self._in_range[src] = (listeners, {node.node_id: node for node in listeners})
-        return cached
+        groups: dict[tuple, ListenerGroup] = {}
+        for src, node in self.nodes.items():
+            listeners = [other for other_id, other in self.nodes.items() if other_id != src
+                         and math.dist(positions[src], positions[other_id]) <= range_m]
+            by_id = {other.node_id: other for other in listeners}
+            self._in_range[src] = (listeners, by_id, [])
+            if node._round is not None:
+                key = (node._round, node.duty.check_duration_ticks, *sorted([src, *by_id]))
+                groups.setdefault(key, ListenerGroup(*key[:2])).join(node)
+        for (_, _, *near), group in groups.items():
+            for node_id in near:
+                self._in_range[node_id][2].append(group)
+        return self._in_range
 
     def broadcast(self, frame: RadioFrame, now: TickTime, air: int) -> list["Node"]:
         """Propagate a frame of air ticks already on air; return the nodes that receive it.
@@ -188,26 +344,26 @@ class RadioMedium:
         frame schedules no event: the sender's end of TX delivers it to its
         receiver. The addressee, found by id, hears the frame now
         (Node.hear). Every other listener that is not sending only moves its
-        receive hold to the frame's end; one with duty cycling also queues
-        the frame, with whether its check round at now has run, for
-        Node._catch_up to replay. The frame takes one tx draw, then an
-        addressee that hears it one rx draw.
+        receive hold to the frame's end; a duty-cycled one that is sending
+        notes it missed it. The frame goes once into the log of each group it
+        reaches, with whether the group's check round at now has run, for
+        Node._catch_up. It takes one tx draw, then an addressee hearing it one rx draw.
         """
-        listeners, by_id = self._in_range.get(frame.src) or self._listeners(frame.src)
+        listeners, by_id, groups = self._in_range.get(frame.src) or self._layout()[frame.src]
         link, rng = self.link, self.engine.rng
         tx_ok = link.tx_passes(rng)
         target = by_id.get(frame.dst)
         receivers = ([target] if target is not None and target.hear(now, air) and tx_ok
                      and link.rx_passes(rng) else [])
         end = now + air
-        entries = ((now, air, False), (now, air, True))  # by round_ran, shared by every queue
         for node in listeners:
-            if node is not target and node._tx_until <= now:
+            if node._tx_until <= now:
                 if end > node._rx_hold_until:
                     node._rx_hold_until = end
-                rnd = node._round
-                if rnd is not None:
-                    node._heard.append(entries[rnd.last == now])
+            elif node is not target and node._round is not None:
+                node._note(now, DEAF)
+        for group in groups:
+            group.log.append((now, air, group.mark.last == now, frame.dst))
         return receivers
 
     def defer_tx(self, node: "Node", frame: RadioFrame, until: TickTime) -> None:
@@ -267,12 +423,12 @@ class Node:
 
     With duty cycling, the radio wakes every check period P for a window of
     D <= P ticks if the send pipeline is idle and the radio is off. No state
-    ends by an event: the frames a node hears and its own pipeline and radio
-    changes are only queued, and settle() has _catch_up() replay them in
-    order with the checks and the radio's end due between them. A listening
-    radio has one end, the later of its window's and its receive hold's. The
-    receive hold, _rx_hold_until, is the end of the latest frame heard or
-    queued, so a sender that must wait for it defers without a replay.
+    ends by an event: frames overheard go into its ListenerGroup's log, those
+    addressed to it and its own changes into _heard, and settle() has
+    _catch_up() replay both with the checks and radio ends due among them. A
+    listening radio has one end, the later of its window's and its receive
+    hold's. The receive hold, _rx_hold_until, is the end of the latest frame
+    heard, so a sender that must wait for it defers without a replay.
 
     The CPU, and a radio without duty cycling, change no ledger state: their
     busy spans never overlap, so their ACTIVE and TX ticks are the charged
@@ -313,22 +469,23 @@ class Node:
         if duty.enabled:
             if duty.check_rate_hz <= 0 or RTIMER_HZ % duty.check_rate_hz != 0:
                 raise ValueError("check_rate_hz must evenly divide the tick rate")
-            self._check_period = RTIMER_HZ // duty.check_rate_hz
-            if not 0 <= duty.check_duration_ticks <= self._check_period:
+            period = RTIMER_HZ // duty.check_rate_hz
+            if not 0 <= duty.check_duration_ticks <= period:
                 raise ValueError("check_duration_ticks must lie in [0, the check period]")
-            self._round = engine.mark(self._check_period)
-            self._next_check = engine.now
-            self._busy = False  # the pipeline as replayed so far
-            self._until: TickTime = 0  # where a listening radio goes off, as replayed
-            self._after = True  # whether that end sorts after a check at its tick
-            self._heard: list[tuple[TickTime, int, bool]] = []  # (tick, air or point, round_ran)
+            self._round = engine.mark(period)
+            # As replayed: where a listening radio goes off, whether that end sorts
+            # after a check at its tick, the next check, and whether the pipeline is busy
+            self._replayed = (0, True, engine.now, False)
+            self._heard: list[tuple] = []  # (group frame number, tick, air or point, round_ran)
+            # An empty group of its own until RadioMedium._layout(): no frame precedes its notes
+            ListenerGroup(self._round, duty.check_duration_ticks).join(self)
 
     def settle(self, now: TickTime) -> EnergestLedger:
         """Bring the ledger up to now; read counters after this.
 
-        A duty-cycled radio first replays the frames and points it queued
-        since the last settle, with the state ends due among them (see
-        _catch_up). The CPU's ACTIVE ticks, and an always-on radio's TX
+        A duty-cycled radio first replays its group's frames and its own
+        entries since the last settle, with the state ends due among them
+        (see _catch_up). The CPU's ACTIVE ticks, and an always-on radio's TX
         ticks, are the sums charged and sent less what lies past now; the
         rest of the time is LPM and RX.
         """
@@ -355,8 +512,7 @@ class Node:
         """Take frame into the idle pipeline: book it busy, charge the CPU
         the frame's cost, and start its TX when that charge completes."""
         if self._round is not None:
-            now = self.engine.now
-            self._heard.append((now, BUSY, self._round.last == now))
+            self._note(self.engine.now, BUSY)
         self._pipeline_busy = True
         end = self.charge_cpu(self.cpu_cost.frame_cost(frame, self.medium.overheads.link_bytes))
         self.engine.call_at(end, self._start_tx, frame)
@@ -375,7 +531,7 @@ class Node:
         if self._round is None:
             self._tx_airtime += air
         else:
-            self._heard.append((now, TX_START, self._round.last == now))
+            self._note(now, TX_START)
         self._tx_until = now + air
         self.sent_frames.append(frame)
         receivers = self.medium.broadcast(frame, now, air)
@@ -385,8 +541,7 @@ class Node:
         for node in receivers:
             node.deliver(frame)  # the frame ends with the TX, before anything else at this tick
         if self._round is not None:
-            now = self.engine.now
-            self._heard.append((now, TX_END, self._round.last == now))
+            self._note(self.engine.now, TX_END)
         if self._outbox:
             self._process(self._outbox.popleft())
         else:
@@ -398,9 +553,9 @@ class Node:
         """Hear a frame spanning [now, now + air); False if deaf (mid-TX).
 
         The radio is held on until the frame ends. A duty-cycled node only
-        queues the frame, as RadioMedium.broadcast does for its bystanders,
-        for settle() to replay. An always-on radio is in RX whenever it is
-        not sending, so only its receive hold moves.
+        queues the frame in its own queue, for settle() to replay; it skips
+        the frame's copy in its group's log. An always-on radio is in RX
+        whenever it is not sending, so only its receive hold moves.
         """
         if self._tx_until > now:
             return False
@@ -408,7 +563,7 @@ class Node:
         if end > self._rx_hold_until:
             self._rx_hold_until = end
         if self._round is not None:
-            self._heard.append((now, air, self._round.last == now))
+            self._note(now, air)
         return True
 
     def deliver(self, frame: RadioFrame) -> None:
@@ -426,96 +581,21 @@ class Node:
 
     # -- duty cycling ------------------------------------------------------
 
+    def _note(self, now: TickTime, point: int) -> None:
+        """Queue a frame heard (its air) or own point at now, before the group's next frame."""
+        group = self._group
+        self._heard.append((group.base + len(group.log), now, point, self._round.last == now))
+
     def _catch_up(self, now: TickTime) -> None:
-        """Replay the queued frames and points, and the idle checks and
-        radio-off points due among them, up to now.
-
-        A check at tick t is due if t < now, or t == now and the check round
-        for now has run. It opens a window [t, t + D) only if the pipeline is
-        idle and the radio is off. A listening radio has one end, the later of
-        its window's end and its receive hold's end, where it goes off. An end
-        queued at tick q for a check tick e precedes that check, as an event
-        would, iff e - q > P, or e - q == P and the round at q had not run when
-        it was queued; so a window's end (D <= P) never does. Of two ends at one
-        tick the one queued first stays, as it never sorts after the other.
-        Ends commute with every other event at their tick, so an end at now is
-        due unless a check at now comes first.
-
-        An entry queued at tick s applies where it was queued: after the
-        checks and the end due then (the check at s iff its round had run),
-        and before the next one. A frame turns the radio on and may move its
-        end later. The node's own points change its state there, exactly as a
-        replay up to the point followed by the change would: BUSY makes the
-        pipeline busy; TX_START books the radio up to s, puts it in TX and
-        aborts any open window; TX_END books the TX, leaves the radio in RX if
-        its end lies past s and off if not, and makes the pipeline idle. The
-        radio's state and counters are replayed in locals and written back to
-        the ledger once. The common entry in a crowd, a frame that starts after
-        the radio's end with no check due before it, is booked in one step.
-        """
-        heard = self._heard
-        heard.append((now, SETTLE, self._round.last == now))
-        ledger = self.ledger
-        state, since = ledger.radio_state, ledger.last_radio_change
-        rx, tx = ledger.rx_ticks, ledger.tx_ticks
-        check, busy, until, after = self._next_check, self._busy, self._until, self._after
-        period = self._check_period
-        width = self.duty.check_duration_ticks
-        RX, TX, OFF = RadioState.RX, RadioState.TX, RadioState.OFF
-        for start, air, ran in heard:
-            if air > 0 and state is RX and until <= start < check:
-                # The common entry: a frame that starts after the radio's end,
-                # with no check due before it, so RX stops at the end and
-                # starts again with the frame.
-                rx += until - since
-                since, until = start, start + air
-                after = air < period or (air == period and ran)
-                continue
-            last_check = start if ran else start - 1
-            while True:
-                if (state is RX and until <= start
-                        and (until < check or (until == check and not after))):
-                    rx += until - since
-                    state, since = OFF, until
-                if check > last_check:
-                    break
-                if busy or state is not OFF:
-                    check += period  # preempted by outbound traffic, or already listening
-                    continue
-                if width < period:
-                    # Each window closes before the next check, so all due
-                    # windows but the last add D at once.
-                    closed = (last_check - check) // period
-                    rx += closed * width
-                    check += closed * period
-                state, since = RX, check
-                until, after = check + width, True
-                check += period
-            if air >= 0:
-                if state is not RX:
-                    if state is TX:  # heard at the tick its own TX ends
-                        tx += start - since
-                    state, since = RX, start
-                if start + air > until:
-                    until, after = start + air, air < period or (air == period and ran)
-            elif air == BUSY:
-                busy = True
-            elif air == SETTLE:
-                break
-            else:
-                if state is RX:
-                    rx += start - since
-                elif state is TX:
-                    tx += start - since
-                if air == TX_START:
-                    state = TX
-                    until = min(until, start)  # abort any open window
-                else:
-                    state = RX if until > start else OFF
-                    busy = False
-                since = start
+        """Replay the group's log and own entries up to now into the ledger."""
+        self._note(now, SETTLE)
+        group, heard, ledger = self._group, self._heard, self.ledger
+        (state, since, *replayed, rx, tx), pos = group.replay(
+            (ledger.radio_state, ledger.last_radio_change, *self._replayed, ledger.rx_ticks,
+             ledger.tx_ticks), group.pos[self.node_id], heard, self.node_id)
+        self._replayed = tuple(replayed)
         heard.clear()
-        self._next_check, self._busy, self._until, self._after = check, busy, until, after
+        group.caught_up(self.node_id, pos)
         ledger.replayed_radio(state, since, rx, tx)
 
     # -- CPU accounting ----------------------------------------------------

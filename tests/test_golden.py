@@ -175,6 +175,16 @@ HERD_CASES = {
     "mqtt-20x-always-on-hidden-txloss": ScenarioConfig(
         protocol="mqtt", clients=20, range_m=12, tx_success=0.7,
         duty=DutyCycleConfig(enabled=False)),
+    # Listeners that hear the same frames share one replay of them. 20 MQTT-SN
+    # clients over 300 s settle 30 times each, so the shared frame log is
+    # trimmed many times; 12 CoAP clients at 256 Hz with D = P, 1 m apart
+    # with the server among them and a range of 8 m, sit in overlapping cells.
+    # Recorded while every listener replayed each frame on its own.
+    "mqtt-sn-20x-300s": ScenarioConfig(
+        protocol="mqtt-sn", clients=20, duration_s=300, interval_s=10),
+    "coap-12x-256hz-d-eq-p-8m": ScenarioConfig(
+        protocol="coap", clients=12, range_m=8, server_pos=(0.0, 5.5),
+        duty=DutyCycleConfig(True, 256, 128)),
 }
 
 HERD_GOLDEN = {
@@ -186,6 +196,10 @@ HERD_GOLDEN = {
         'a86eca50b81369fa577c9810736a532d38d99439b389f513cb228c87e2e6494f',
     'mqtt-20x-always-on-hidden-txloss':
         'dd2f85296fbb130546faad466320efce1fb33e20a4beb5a939aa0b6a7fbdd29c',
+    'mqtt-sn-20x-300s':
+        '60fce333bcf5fb48f787afb2c241569da4ab32c3d4929ec93fb1b95a6283eb6e',
+    'coap-12x-256hz-d-eq-p-8m':
+        '7715e7adc40155aa5d6dd3027c085f598f0741879fe2867b4d675e0a1f175241',
 }
 
 

@@ -457,15 +457,18 @@ def test_a_dropped_run_is_freed_without_the_garbage_collector():
     # may sit in a cycle that only a collection would find. Before it is
     # dropped, its nodes still settle but have no transports to send with.
     end = seconds_to_ticks(SHORT["duration_s"])
+    configs = [ScenarioConfig(protocol=protocol, tx_success=tx_success, clients=clients,
+                              duty=DutyCycleConfig(enabled=duty), **SHORT)
+               for protocol, duty, tx_success, clients in itertools.product(
+                   motesim.PROTOCOLS, (True, False), (1.0, 0.7), (1, 3))]
+    # Ten duty-cycled clients that hear the same frames share listener groups.
+    configs.append(ScenarioConfig(protocol="mqtt-sn", clients=10, **SHORT))
     gc.collect()
     gc.disable()
     try:
-        for protocol, duty, tx_success, clients in itertools.product(
-                motesim.PROTOCOLS, (True, False), (1.0, 0.7), (1, 3)):
-            label = (protocol, duty, tx_success, clients)
-            sim = simulate(ScenarioConfig(protocol=protocol, tx_success=tx_success,
-                                          clients=clients,
-                                          duty=DutyCycleConfig(enabled=duty), **SHORT))
+        for config in configs:
+            label = (config.protocol, config.duty.enabled, config.tx_success, config.clients)
+            sim = simulate(config)
             _check_finished_nodes(sim, end, label)
             server = weakref.ref(sim.nodes["server"])
             del sim

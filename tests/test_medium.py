@@ -795,3 +795,82 @@ def simulate_on(impl, config):
 @given(ORACLE_CONFIGS)
 def test_whole_runs_match_the_naive_medium(config):
     assert simulate_on(FAST, config) == simulate_on(NAIVE, config)
+
+
+# Duty-cycled crowds in one cell or several: clients sit 1 m apart, so at
+# 20 m and 12 m they and the server fall into many closed neighbourhoods,
+# and the listeners of one frame replay it in several groups.
+CROWD_CONFIGS = st.builds(
+    ScenarioConfig, protocol=st.sampled_from(PROTOCOLS), clients=st.integers(6, 24),
+    duration_s=st.just(2.0), interval_s=st.just(1.0), seed=st.integers(0, 2**16),
+    publish_period_s=st.sampled_from((0.125, 0.5)), tx_success=st.sampled_from((1.0, 0.7)),
+    range_m=st.sampled_from((50.0, 20.0, 12.0)), duty=st.sampled_from(ORACLE_DUTIES[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(CROWD_CONFIGS)
+def test_crowd_runs_match_the_naive_medium(config):
+    assert simulate_on(FAST, config) == simulate_on(NAIVE, config)
+
+
+# ---------------------------------------------------------------------------
+# Listener groups: the rare paths, and what a group keeps
+
+GROUP_DUTY = DutyCycleConfig(True, 256, 32)
+GROUP_POSITIONS = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (5.0, 5.0)}
+
+
+def play_late_node(impl, late_duty, late_cost, sends):
+    """Run a and b (duty-cycled), add c with late_duty and late_cost at tick
+    130, while a's first frame, to c, is on air, and make the given (tick,
+    src, dst) datagram sends; return every node's books and the frames sent."""
+    node_class, medium_class = impl
+    engine = Engine()
+    medium = medium_class(engine, LinkModel(50.0, 1.0, 1.0, dict(GROUP_POSITIONS)))
+    nodes = {node_id: node_class(node_id, engine, medium, GROUP_DUTY) for node_id in "ab"}
+    sent = record_sends(medium)
+    nodes["a"].datagrams.send("c", bytes(20))  # b overhears it, on air over ticks 112..165
+    engine.run(130)
+    nodes["c"] = node_class("c", engine, medium, late_duty, late_cost)
+    for tick, src, dst in sends:
+        engine.call_at(max(tick, 130), lambda src=src, dst=dst: nodes[src].datagrams.send(dst, b"x"))
+    engine.run(seconds_to_ticks(1))
+    return [books(node.settle(engine.now)) for node in nodes.values()], sent
+
+
+def test_a_bystander_deaf_to_a_frame_books_as_the_naive_medium():
+    # c, added with no CPU cost while a sends, puts a frame to b on air at
+    # tick 130: a, still sending, is deaf to it, though not its addressee.
+    program = (NO_DUTY, CpuCostModel(0, 0), [(130, "c", "b"), (2000, "b", "a")])
+    fast = play_late_node(FAST, *program)
+    assert fast == play_late_node(NAIVE, *program)
+    assert fast[1][:2] == [(112, "a"), (130, "c")]
+
+
+def test_a_duty_cycled_node_joining_mid_run_regroups_its_neighbours():
+    # a and b share a group until c joins in range of both; later frames
+    # reach all three.
+    sends = [(700, "c", "a"), (1400, "a", "c"), (2100, "b", "a"), (4000, "c", "b")]
+    program = (GROUP_DUTY, CpuCostModel(), sends)
+    assert play_late_node(FAST, *program) == play_late_node(NAIVE, *program)
+
+
+def test_a_group_log_keeps_only_the_frames_a_member_has_yet_to_replay():
+    engine = Engine()
+    medium = RadioMedium(engine, LinkModel(50.0, 1.0, 1.0, dict(GROUP_POSITIONS)))
+    a, b = (Node(node_id, engine, medium, GROUP_DUTY) for node_id in "ab")
+    sender = Node("c", engine, medium, NO_DUTY)
+    for tick in (100, 600, 1100):
+        engine.call_at(tick, sender.datagrams.send, "a", b"x")
+    engine.run(800)
+    group = a._group
+    assert group is b._group and len(group.log) == 2
+    a.settle(engine.now)
+    assert len(group.log) == 2 and group.base == 0
+    b.settle(engine.now)
+    assert group.log == [] and group.base == 2
+    engine.run(1500)
+    a.settle(engine.now)
+    assert len(group.log) == 1 and group.base == 2  # b has yet to replay frame 2
+    b.settle(engine.now)
+    assert group.log == [] and group.base == 3
