@@ -24,8 +24,8 @@ STREAM_RTO_TICKS = seconds_to_ticks(0.5)
 STREAM_MAX_RETRIES = 3
 
 # A duty-cycled node's own points, queued in Node._heard in place of a frame's
-# airtime: a settle, the pipeline turning busy, a TX's end and start, a frame missed.
-SETTLE, BUSY, TX_END, TX_START, DEAF = -1, -2, -3, -4, -5
+# airtime: a settle, the pipeline turning busy, a TX's end and start.
+SETTLE, BUSY, TX_END, TX_START = -1, -2, -3, -4
 
 
 class FrameTooLarge(ValueError):
@@ -171,9 +171,9 @@ class ListenerGroup:
         member me, each (frame number, tick, air or point, round_ran) placed
         before that frame and the last a settle, and the checks and radio ends
         due among them; return st and the next frame's number. A member skips
-        the frames it sent, was deaf to or heard through hear(): they have
-        entries. Over a stretch with none, one in the state of the reference for
-        its pipeline takes its RX ticks at once. With me None, record a reference.
+        the frames it sent or heard through hear(): they have entries. Over a
+        stretch with none, one in the state of the reference for its pipeline
+        takes its RX ticks at once. With me None, record a reference.
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
@@ -226,10 +226,8 @@ class ListenerGroup:
                 hi += 1
                 if air != SETTLE:
                     k = heard[hi][0]
-                if air <= TX_START:  # the next frame is its own, or one it was deaf to
+                if air == TX_START:  # the next frame is its own
                     skip = pos + 1
-                    if air == DEAF:
-                        continue
             last_check = start if ran else start - 1
             while True:
                 if (state is RX and until <= start
@@ -279,8 +277,8 @@ class ListenerGroup:
 class RadioMedium:
     """Node registry plus the broadcast propagation rule.
 
-    Positions never move, so each node's in-range listeners and group are
-    computed once, in registration order, and reused until the next add_node().
+    Nodes join before the first frame and positions never move, so each node's
+    in-range listeners and group are computed once, in registration order.
     """
 
     def __init__(self, engine: Engine, link: LinkModel, overheads: Overheads = Overheads()):
@@ -296,13 +294,9 @@ class RadioMedium:
     def add_node(self, node: "Node") -> None:
         if node.node_id not in self.link.positions:
             raise ValueError(f"no position for node {node.node_id!r}")
-        if self._in_range:  # it may regroup others: each replays its group's log first
-            for other in self.nodes.values():
-                if other._round is not None:
-                    other._catch_up(self.engine.now)
-                    ListenerGroup(other._round, other.duty.check_duration_ticks).join(other)
+        if self._in_range:  # filled by the first frame
+            raise ValueError(f"node {node.node_id!r} joins after the first frame")
         self.nodes[node.node_id] = node
-        self._in_range.clear()
 
     def detach(self) -> None:
         """Forget every node, and drop each node's transports.
@@ -338,30 +332,26 @@ class RadioMedium:
     def broadcast(self, frame: RadioFrame, now: TickTime, air: int) -> list["Node"]:
         """Propagate a frame of air ticks already on air; return the nodes that receive it.
 
-        Every in-range listener that is not itself sending accrues RX for the
-        airtime span; the frame is received only by its addressee, and only
-        when the success draws pass. Loss burns energy on both sides. The
-        frame schedules no event: the sender's end of TX delivers it to its
-        receiver. The addressee, found by id, hears the frame now
-        (Node.hear). Every other listener that is not sending only moves its
-        receive hold to the frame's end; a duty-cycled one that is sending
-        notes it missed it. The frame goes once into the log of each group it
-        reaches, with whether the group's check round at now has run, for
-        Node._catch_up. It takes one tx draw, then an addressee hearing it one rx draw.
+        Every in-range listener accrues RX for the airtime span and holds its
+        radio on, and any TX of its own, until the frame's end: range is
+        symmetric, so no node hears while it sends. Only the addressee, found
+        by id, hears the frame now (Node.hear), and receives it if the success
+        draws pass: one tx draw, then its rx draw if that passed. Loss burns
+        energy on both sides. The frame schedules no event: the sender's end
+        of TX delivers it. It goes once into the log of each group it reaches,
+        with whether the group's check round at now has run, for Node._catch_up.
         """
         listeners, by_id, groups = self._in_range.get(frame.src) or self._layout()[frame.src]
         link, rng = self.link, self.engine.rng
         tx_ok = link.tx_passes(rng)
         target = by_id.get(frame.dst)
-        receivers = ([target] if target is not None and target.hear(now, air) and tx_ok
-                     and link.rx_passes(rng) else [])
+        if target is not None:
+            target.hear(now, air)
+        receivers = [target] if target is not None and tx_ok and link.rx_passes(rng) else []
         end = now + air
         for node in listeners:
-            if node._tx_until <= now:
-                if end > node._rx_hold_until:
-                    node._rx_hold_until = end
-            elif node is not target and node._round is not None:
-                node._note(now, DEAF)
+            if end > node._rx_hold_until:
+                node._rx_hold_until = end
         for group in groups:
             group.log.append((now, air, group.mark.last == now, frame.dst))
         return receivers
@@ -465,13 +455,14 @@ class Node:
         self._tx_airtime = 0  # airtime sent since creation, without duty cycling
         self._rx_hold_until: TickTime = 0  # end of the latest frame heard or queued
         self._round: Optional[Mark] = None  # the check round, with duty cycling
-        medium.add_node(self)
         if duty.enabled:
             if duty.check_rate_hz <= 0 or RTIMER_HZ % duty.check_rate_hz != 0:
                 raise ValueError("check_rate_hz must evenly divide the tick rate")
             period = RTIMER_HZ // duty.check_rate_hz
             if not 0 <= duty.check_duration_ticks <= period:
                 raise ValueError("check_duration_ticks must lie in [0, the check period]")
+        medium.add_node(self)
+        if duty.enabled:
             self._round = engine.mark(period)
             # As replayed: where a listening radio goes off, whether that end sorts
             # after a check at its tick, the next check, and whether the pipeline is busy
@@ -549,22 +540,19 @@ class Node:
 
     # -- inbound path ------------------------------------------------------
 
-    def hear(self, now: TickTime, air: int) -> bool:
-        """Hear a frame spanning [now, now + air); False if deaf (mid-TX).
+    def hear(self, now: TickTime, air: int) -> None:
+        """Hear a frame spanning [now, now + air); never called while sending.
 
         The radio is held on until the frame ends. A duty-cycled node only
         queues the frame in its own queue, for settle() to replay; it skips
         the frame's copy in its group's log. An always-on radio is in RX
         whenever it is not sending, so only its receive hold moves.
         """
-        if self._tx_until > now:
-            return False
         end = now + air
         if end > self._rx_hold_until:
             self._rx_hold_until = end
         if self._round is not None:
             self._note(now, air)
-        return True
 
     def deliver(self, frame: RadioFrame) -> None:
         """Frame fully received: charge CPU, then hand the payload up."""
