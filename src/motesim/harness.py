@@ -234,15 +234,6 @@ def scenario_schema() -> dict[str, dict[str, object]]:
     return schema
 
 
-def _cast_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _cast_pos(raw: str) -> tuple[float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
@@ -253,7 +244,7 @@ def _cast_pos(raw: str) -> tuple[float, float]:
 def _cast_for(default) -> Callable[[str], object]:
     """The parse function of a key, chosen by the type of its default."""
     if isinstance(default, bool):  # before int: bool is a subclass of int
-        return _cast_bool
+        return lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     if isinstance(default, tuple):
         return _cast_pos
     return type(default)
@@ -288,7 +279,7 @@ def load_scenario(path) -> ScenarioConfig:
                 raise ScenarioError(f"{path}: unknown key {section}.{key}")
             try:
                 values[section][key] = _cast_for(defaults[key])(raw)
-            except (TypeError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 raise ScenarioError(f"{section}.{key}: cannot parse {raw!r}") from None
 
     base = ScenarioConfig()  # the nested defaults are their types' defaults
@@ -326,8 +317,9 @@ class ProtocolRuntime:
 
     `encoded` (message -> bytes) and `decoded` ((decode kind, bytes) -> what
     the decoder returned) are the run's codec memos. A message compares by
-    type and fields, so an equal key means the same bytes. A ParseError is
-    never stored, so every bad frame is noted."""
+    type and fields, so an equal key means the same bytes. Only whole
+    messages are stored: neither a stream buffer that holds part of one nor
+    a ParseError is, so every bad frame is noted."""
 
     def __init__(self, node: Node, step: Callable, state, transport: str,
                  decode_kind: str, notes: list[tuple[float, str, str, str]],
@@ -418,25 +410,25 @@ class ProtocolRuntime:
 
     def _on_established(self, conn: StreamConn) -> None:
         self.conn_by_peer[conn.peer] = conn
-        self.buffers.setdefault(conn.conn_id, bytearray())
+        self.buffers[conn.conn_id] = bytearray()  # the transport hands up no data before this
         self.feed(act.StreamUp(conn.peer, self._now_s()))
 
     def _on_stream_data(self, conn: StreamConn, chunk: bytes) -> None:
-        buffer = self.buffers.setdefault(conn.conn_id, bytearray())
+        buffer = self.buffers[conn.conn_id]
         buffer += chunk
-        while True:
-            key = (self.decode_kind, bytes(buffer))
-            if key in self.decoded:
-                result = self.decoded[key]
-            else:
+        while buffer:
+            data = bytes(buffer)
+            result = self.decoded.get((self.decode_kind, data))
+            if result is None:
                 try:
-                    result = self.decoded[key] = _decode_prefix(*key)
+                    result = wire.decode_prefix(data, self.decode_kind)
                 except wire.ParseError as err:
                     self._note("parse-error", str(err))
                     buffer.clear()
                     return
-            if result is None:
-                return
+                if result is None:  # the message is incomplete
+                    return
+                self.decoded[self.decode_kind, data] = result
             msg, consumed = result
             del buffer[:consumed]
             self.feed(act.MsgIn(msg, conn.peer, self._now_s()))
@@ -465,14 +457,6 @@ class ProtocolRuntime:
                 self._note("parse-error", str(err))
                 return
         self.feed(act.MsgIn(msg, src, self._now_s()))
-
-
-def _decode_prefix(kind: str, data: bytes):
-    """A stream decoder's (message, bytes consumed) for the message at the
-    start of data, or None while it is incomplete."""
-    if kind == "mqtt":
-        return wire.mqtt_decode_prefix(data)
-    return wire.http_decode_prefix(data, kind.removeprefix("http-"))
 
 
 def _server_step(handler: Callable) -> Callable:
@@ -514,9 +498,9 @@ def simulate(config: ScenarioConfig) -> SimRun:
     freed as soon as the caller drops it, without waiting for the garbage
     collector.
 
-    A run encodes each distinct message, and decodes each distinct input,
-    once: its runtimes share one encode map and one decode map, which live
-    and die with the run. Nothing is cached across runs.
+    A run encodes each distinct message, and decodes each distinct whole
+    message, once: its runtimes share one encode map and one decode map,
+    which live and die with the run. Nothing is cached across runs.
     """
     config.validate()
     engine = Engine(config.seed)

@@ -36,6 +36,10 @@ class StreamStateError(RuntimeError):
     pass
 
 
+def _ignore(*args) -> None:
+    """A transport callback's default: nothing listens."""
+
+
 def airtime_ticks(length_bytes: int) -> int:
     """On-air duration of a frame in ticks at 250 kbps, rounded up; 0 bytes -> 0."""
     if length_bytes < 0:
@@ -119,13 +123,14 @@ HANDSHAKE_ACK = -1
 
 
 class StreamConn:
-    """Stop-and-wait connection endpoint state."""
+    """Stop-and-wait connection endpoint state: SYN_SENT at its opener and
+    SYN_RCVD at its listener (RFC 793's names), then ESTABLISHED, CLOSING
+    and CLOSED."""
 
-    def __init__(self, conn_id: int, peer: str, initiator: bool):
+    def __init__(self, conn_id: int, peer: str, state: str):
         self.conn_id = conn_id
         self.peer = peer
-        self.initiator = initiator
-        self.state = "SYN_SENT"  # SYN_SENT, ESTABLISHED, CLOSING, CLOSED
+        self.state = state
         self.send_seq = 0
         self.recv_next = 0
         self.inflight: Optional[StreamSegment] = None
@@ -564,7 +569,7 @@ class Node:
         payload = frame.payload
         if isinstance(payload, StreamSegment):
             self.streams.on_segment(frame.src, payload)
-        elif self.datagrams.on_datagram is not None:
+        else:
             self.datagrams.on_datagram(frame.src, payload)
 
     # -- duty cycling ------------------------------------------------------
@@ -606,7 +611,7 @@ class DatagramTransport:
 
     def __init__(self, node: Node):
         self.node = node
-        self.on_datagram: Optional[Callable[[str, bytes], None]] = None
+        self.on_datagram: Callable[[str, bytes], None] = _ignore
 
     def send(self, dst: str, payload: bytes) -> None:
         over = self.node.medium.overheads
@@ -621,15 +626,15 @@ class StreamTransport:
     def __init__(self, node: Node):
         self.node = node
         self.conns: dict[int, StreamConn] = {}
-        self.on_established: Optional[Callable[[StreamConn], None]] = None
-        self.on_data: Optional[Callable[[StreamConn, bytes], None]] = None
-        self.on_closed: Optional[Callable[[StreamConn], None]] = None
-        self.on_failed: Optional[Callable[[StreamConn, str], None]] = None
+        self.on_established: Callable[[StreamConn], None] = _ignore
+        self.on_data: Callable[[StreamConn, bytes], None] = _ignore
+        self.on_closed: Callable[[StreamConn], None] = _ignore
+        self.on_failed: Callable[[StreamConn, str], None] = _ignore
 
     # -- application surface ------------------------------------------------
 
     def connect(self, dst: str) -> StreamConn:
-        conn = StreamConn(next(self.node.medium.conn_ids), dst, initiator=True)
+        conn = StreamConn(next(self.node.medium.conn_ids), dst, "SYN_SENT")
         self.conns[conn.conn_id] = conn
         syn = StreamSegment("syn", conn.conn_id)
         conn.sendq.append(syn)
@@ -650,7 +655,7 @@ class StreamTransport:
         self._try_send(conn)
 
     def close(self, conn: StreamConn) -> None:
-        if conn.state not in ("ESTABLISHED", "SYN_SENT"):
+        if conn.state in ("CLOSING", "CLOSED"):
             return
         conn.state = "CLOSING"
         fin = StreamSegment("fin", conn.conn_id, conn.send_seq)
@@ -684,19 +689,18 @@ class StreamTransport:
         if conn.retries_left <= 0:
             conn.inflight = None
             conn.state = "CLOSED"
-            if self.on_failed is not None:
-                self.on_failed(conn, "retry-exhausted")
+            self.on_failed(conn, "retry-exhausted")
             return
         conn.retries_left -= 1
         self._transmit(conn, seg)
 
-    def _ack_inflight(self, conn: StreamConn) -> Optional[StreamSegment]:
-        seg = conn.inflight
-        if seg is None:
-            return None
+    def _ack_inflight(self, conn: StreamConn) -> None:
         self.node.engine.cancel(conn.rto_event)
         conn.inflight = None
-        return seg
+
+    def _establish(self, conn: StreamConn) -> None:
+        conn.state = "ESTABLISHED"
+        self.on_established(conn)
 
     def _send_ctrl(self, conn: StreamConn, kind: str, seq: int = 0) -> None:
         self._put_on_air(conn, StreamSegment(kind, conn.conn_id, seq))
@@ -707,68 +711,44 @@ class StreamTransport:
         conn = self.conns.get(seg.conn_id)
         if seg.kind == "syn":
             if conn is None:
-                conn = StreamConn(seg.conn_id, src, initiator=False)
-                self.conns[conn.conn_id] = conn
+                conn = self.conns[seg.conn_id] = StreamConn(seg.conn_id, src, "SYN_RCVD")
             self._send_ctrl(conn, "synack")
-            return
-        if conn is None:
+        elif conn is None:
             return  # stale segment for a forgotten connection
-        if seg.kind == "synack":
-            if conn.state == "SYN_SENT" and conn.initiator:
+        elif seg.kind == "synack":  # only ever reaches the opener; a duplicate is re-acked
+            self._send_ctrl(conn, "ack", HANDSHAKE_ACK)
+            if conn.state == "SYN_SENT":
                 self._ack_inflight(conn)
-                conn.state = "ESTABLISHED"
-                self._send_ctrl(conn, "ack", HANDSHAKE_ACK)
-                if self.on_established is not None:
-                    self.on_established(conn)
-                self._try_send(conn)
-            elif conn.initiator:
-                self._send_ctrl(conn, "ack", HANDSHAKE_ACK)  # duplicate synack
-            return
-        if seg.kind == "ack":
-            self._handle_ack(conn, seg)
-            return
-        if seg.kind in ("data", "fin"):
-            self._handle_data(conn, seg)
+                self._establish(conn)
+        else:
+            if conn.state == "SYN_RCVD":  # the handshake ACK, or data if that was lost
+                self._establish(conn)
+            if seg.kind == "ack":
+                self._handle_ack(conn, seg)
+            else:
+                self._handle_data(conn, seg)
 
     def _handle_ack(self, conn: StreamConn, seg: StreamSegment) -> None:
-        if seg.seq == HANDSHAKE_ACK:
-            if conn.state == "SYN_SENT" and not conn.initiator:
-                conn.state = "ESTABLISHED"
-                if self.on_established is not None:
-                    self.on_established(conn)
-                self._try_send(conn)
-            return
-        inflight = conn.inflight
-        if inflight is None or inflight.kind not in ("data", "fin"):
-            return
-        if inflight.seq != seg.seq:
-            return
-        acked = self._ack_inflight(conn)
-        if acked is not None and acked.kind == "fin":
+        inflight = conn.inflight  # never the syn: what is acked here goes out after the synack
+        if inflight is None or inflight.seq != seg.seq:
+            return  # the handshake ACK, or a stale one
+        self._ack_inflight(conn)
+        if inflight.kind == "fin":
             conn.state = "CLOSED"
-            if self.on_closed is not None:
-                self.on_closed(conn)
+            self.on_closed(conn)
         else:
             self._try_send(conn)
 
     def _handle_data(self, conn: StreamConn, seg: StreamSegment) -> None:
-        if conn.state == "SYN_SENT" and not conn.initiator:
-            # handshake ack was lost; data implies the peer is established
-            conn.state = "ESTABLISHED"
-            if self.on_established is not None:
-                self.on_established(conn)
         if conn.state not in ("ESTABLISHED", "CLOSING"):
             return
         if seg.seq == conn.recv_next:
             conn.recv_next += 1
             self._send_ctrl(conn, "ack", seg.seq)
             if seg.kind == "data":
-                if self.on_data is not None:
-                    self.on_data(conn, seg.data)
+                self.on_data(conn, seg.data)
             else:
                 conn.state = "CLOSED"
-                if self.on_closed is not None:
-                    self.on_closed(conn)
+                self.on_closed(conn)
         elif seg.seq < conn.recv_next:
             self._send_ctrl(conn, "ack", seg.seq)  # duplicate; re-ack only
-

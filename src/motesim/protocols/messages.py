@@ -518,3 +518,12 @@ def decode(data: bytes, protocol: str) -> ProtocolMessage:
     if protocol == "http-response":
         return http_decode_response(data)
     raise ValueError(f"unknown protocol: {protocol!r}")
+
+
+def decode_prefix(data: bytes, protocol: str) -> Optional[tuple[ProtocolMessage, int]]:
+    """Decode the message at the head of a stream buffer for a named stream
+    protocol (mqtt, http-request, http-response): (message, bytes it takes),
+    or None while it is incomplete."""
+    if protocol == "mqtt":
+        return mqtt_decode_prefix(data)
+    return http_decode_prefix(data, protocol.removeprefix("http-"))

@@ -5,8 +5,8 @@ Code that binds one of those names before a run starts (at import, say) keeps
 calling the unwrapped function, and the per-layer metric the benchmark reports
 for it reads 0 without any error. These counts, taken over the four default
 scenarios and over the crowd50 benchmark scenario at seed 42, fail instead. A
-run encodes and decodes each distinct input once, so the codec counts are
-distinct messages per run.
+run encodes and decodes each distinct message once, so the codec counts are
+distinct messages per run: every message here fits in one frame.
 """
 
 import importlib.util
@@ -22,7 +22,7 @@ TRACER = PERFBENCH / "tracer.py"
 DEFAULT_RUN_COUNTS = {
     "protocols.step": 336,
     "protocols.encode": 128,
-    "protocols.decode": 131,
+    "protocols.decode": 128,
     "energy.transition": 0,  # settle() books a duty-cycled radio by replay
     "energy.settle": 80,
     "medium.broadcast": 351,

@@ -256,6 +256,7 @@ def test_load_scenario_full_file(tmp_path):
     ("[scenario]\nduraton_s = 20\n", "scenario.duraton_s"),
     ("[DEFAULT]\nseed = 7\n[scenario]\n", "[DEFAULT]"),
     ("[scenario]\nduration_s = inf\n", "scenario.duration_s"),
+    ("[duty]\nenabled = maybe\n", "duty.enabled"),
 ])
 def test_scenario_file_errors_name_the_section_and_key(tmp_path, capsys, text, named):
     path = tmp_path / "s.ini"
@@ -266,6 +267,14 @@ def test_scenario_file_errors_name_the_section_and_key(tmp_path, capsys, text, n
     assert rc == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_scenario_flag_takes_the_eight_spellings_in_any_case(tmp_path):
+    path = tmp_path / "s.ini"
+    for raw, enabled in (("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+                         ("0", False), ("no", False), ("False", False), ("OFF", False)):
+        path.write_text(f"[duty]\nenabled = {raw}\n")
+        assert load_scenario(path).duty.enabled is enabled, raw
 
 
 def test_package_exports_exactly_the_readme_api():
@@ -428,11 +437,16 @@ def _fresh_decode(kind, data):
 
 
 def test_the_codec_memos_hold_what_the_codecs_return():
-    for protocol, tx_success, clients in itertools.product(
-            motesim.PROTOCOLS, (1.0, 0.7), (1, 3)):
-        label = (protocol, tx_success, clients)
-        sim = simulate(ScenarioConfig(protocol=protocol, tx_success=tx_success,
-                                      clients=clients, **SHORT))
+    configs = [ScenarioConfig(protocol=protocol, tx_success=tx_success, clients=clients, **SHORT)
+               for protocol, tx_success, clients in itertools.product(
+                   motesim.PROTOCOLS, (1.0, 0.7), (1, 3))]
+    # Stream messages of several segments, reassembled from partial buffers.
+    configs += [ScenarioConfig(protocol=protocol, payload_bytes=2000,
+                               overheads=Overheads(mtu_bytes=600), **SHORT)
+                for protocol in ("mqtt", "http")]
+    for config in configs:
+        label = (config.protocol, config.tx_success, config.clients, config.payload_bytes)
+        sim = simulate(config)
         runtimes = list(sim.runtimes.values())
         encoded, decoded = runtimes[0].encoded, runtimes[0].decoded
         assert all(r.encoded is encoded and r.decoded is decoded for r in runtimes), label
@@ -440,6 +454,7 @@ def test_the_codec_memos_hold_what_the_codecs_return():
         for msg, data in encoded.items():
             assert data == wire.encode(msg), label
         for (kind, data), result in decoded.items():
+            assert result is not None, (label, kind, len(data))  # no part of a message is kept
             assert result == _fresh_decode(kind, data), label
 
 
