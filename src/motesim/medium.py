@@ -143,9 +143,9 @@ class ListenerGroup:
     """Duty-cycled nodes with one check round, listen width and closed
     neighbourhood (a node and its listeners) hear the frames sent from inside
     it, but their own, and no other. Each is logged once, as (tick, air,
-    round_ran, addressee) numbered from 0, until every member has replayed it
-    (`pos`: each one's next frame). If shared, the log is replayed for a member
-    that never sends, its pipeline idle or busy: `refs[busy][i]` is its state
+    round_ran, sender, addressee) numbered from 0, until every member replays
+    it (`pos`: each one's next frame). If shared, the log is replayed for a
+    member that never sends, its pipeline idle or busy: `refs[busy][i]` is its
     ((state, since, until, after, next check), RX ticks) before frame base + i.
     """
 
@@ -153,7 +153,7 @@ class ListenerGroup:
 
     def __init__(self, mark: Mark, width: int):
         self.mark, self.width, self.base, self.pos = mark, width, 0, {}
-        self.log: list[tuple[TickTime, int, bool, str]] = []
+        self.log: list[tuple[TickTime, int, bool, str, str]] = []
         start = ((RadioState.OFF, 0, 0, True, 0), 0)  # any state will do
         self.refs = ([start], [start])
 
@@ -176,9 +176,9 @@ class ListenerGroup:
         member me, each (frame number, tick, air or point, round_ran) placed
         before that frame and the last a settle, and the checks and radio ends
         due among them; return st and the next frame's number. A member skips
-        the frames it sent or heard through hear(): they have entries. Over a
-        stretch with none, one in the state of the reference for its pipeline
-        takes its RX ticks at once. With me None, record a reference.
+        the frames that name it as sender or addressee: it has entries for
+        them. Over a stretch with none, one in the state of the reference for
+        its pipeline takes its RX ticks at once; me None records a reference.
 
         A check at tick t is due if t < now, or t == now and the check round
         for now has run. It opens a window [t, t + D) only if the pipeline is
@@ -206,14 +206,14 @@ class ListenerGroup:
         refs = self.refs if me is not None and len(self.pos) > 1 else None
         period, width = self.mark.period, self.width
         RX, TX, OFF = RadioState.RX, RadioState.TX, RadioState.OFF
-        skip, hi, k = -1, 0, heard[0][0]
+        hi, k = 0, heard[0][0]
         while True:
             if record is not None and pos - base == len(record):
                 record.append(((state, since, until, after, check), rx))
             if pos < k:
-                start, air, ran, dst = log[pos - base]
+                start, air, ran, src, dst = log[pos - base]
                 pos += 1
-                if pos == skip or dst == me:
+                if src == me or dst == me:
                     continue
                 if refs is not None:
                     ref = refs[busy]
@@ -231,8 +231,6 @@ class ListenerGroup:
                 hi += 1
                 if air != SETTLE:
                     k = heard[hi][0]
-                if air == TX_START:  # the next frame is its own
-                    skip = pos + 1
             last_check = start if ran else start - 1
             while True:
                 if (state is RX and until <= start
@@ -343,8 +341,8 @@ class RadioMedium:
         by id, hears the frame now (Node.hear), and receives it if the success
         draws pass: one tx draw, then its rx draw if that passed. Loss burns
         energy on both sides. The frame schedules no event: the sender's end
-        of TX delivers it. It goes once into the log of each group it reaches,
-        with whether the group's check round at now has run, for Node._catch_up.
+        of TX delivers it. Each group it reaches logs it once for the replay,
+        with its sender, addressee and whether the group's round at now ran.
         """
         listeners, by_id, groups = self._in_range.get(frame.src) or self._layout()[frame.src]
         link, rng = self.link, self.engine.rng
@@ -358,7 +356,7 @@ class RadioMedium:
             if end > node._rx_hold_until:
                 node._rx_hold_until = end
         for group in groups:
-            group.log.append((now, air, group.mark.last == now, frame.dst))
+            group.log.append((now, air, group.mark.last == now, frame.src, frame.dst))
         return receivers
 
     def defer_tx(self, node: "Node", frame: RadioFrame, until: TickTime) -> None:
@@ -517,7 +515,8 @@ class Node:
         """Put frame on air, or defer it to the end of the frames heard.
 
         A duty-cycled sender queues its TX start, which also aborts an idle
-        check, for the replay; a deferring one queues nothing.
+        check, for the replay, which skips the frame in the group's log by its
+        sender, not by its place; a deferring one queues nothing.
         """
         now = self.engine.now
         if self._rx_hold_until > now:
@@ -549,9 +548,9 @@ class Node:
         """Hear a frame spanning [now, now + air); never called while sending.
 
         The radio is held on until the frame ends. A duty-cycled node only
-        queues the frame in its own queue, for settle() to replay; it skips
-        the frame's copy in its group's log. An always-on radio is in RX
-        whenever it is not sending, so only its receive hold moves.
+        queues the frame in its own queue, for settle() to replay; the replay
+        skips the group log's copy, which names it as addressee. An always-on
+        radio is in RX whenever it is not sending; only its receive hold moves.
         """
         end = now + air
         if end > self._rx_hold_until:

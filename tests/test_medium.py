@@ -819,6 +819,37 @@ def test_replay_books_match_the_naive_medium(width, costs, program):
             == play_replay_program(NAIVE, width, costs, program))
 
 
+# a and c form one listener group, b and e another, and d one of its own.
+# With no CPU cost each TX starts after the check round at its tick. Each
+# program comes with (tick, sender) of frames it must start.
+NAMED_FRAME_PROGRAMS = {
+    # a sends to itself, so c, b and e overhear what nobody receives; then c
+    # sends to a, a sends to itself again, and b to itself, with settles.
+    "sender-is-addressee": (
+        [("send", 2, 0, "a", 0, "a", 2), ("settle", 3, 1), ("send", 4, 33, "c", 30, "a", 1),
+         ("send", 6, 0, "a", 91, "a", 1), ("send", 8, 0, "b", 0, "b", 1), ("settle", 9, 0)],
+        [(256, "a"), (288, "a"), (768, "a"), (1024, "b")]),
+    # a and d are out of each other's range, so their frames start on one
+    # tick and sit next to each other in the log of b and e, each addressed
+    # to one of them; then the other way round.
+    "two-frames-on-one-tick": (
+        [("send", 2, 0, "a", 0, "b", 1), ("send", 2, 0, "d", 0, "e", 1), ("settle", 3, 0),
+         ("send", 5, 0, "d", 30, "b", 1), ("send", 5, 0, "a", 30, "e", 1),
+         ("send", 5, 1, "c", 0, "c", 1), ("settle", 7, 33)],
+        [(256, "a"), (256, "d"), (640, "d"), (640, "a")]),
+}
+
+
+@pytest.mark.parametrize("width", (0, 32, REPLAY_PERIOD))
+@pytest.mark.parametrize("name", NAMED_FRAME_PROGRAMS)
+def test_a_member_skips_the_log_frames_that_name_it_as_sender_or_addressee(name, width):
+    program, starts = NAMED_FRAME_PROGRAMS[name]
+    costs = (0,) * len(REPLAY_IDS)
+    fast = play_replay_program(FAST, width, costs, program)
+    assert fast == play_replay_program(NAIVE, width, costs, program)
+    assert set(starts) <= set(fast[1])
+
+
 # ---------------------------------------------------------------------------
 # Wake-ups: one event for many waiters against one per waiter
 
