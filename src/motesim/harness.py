@@ -101,6 +101,9 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r} (choose from {', '.join(PROTOCOLS)})"
             )
+        if self.publish_period_s <= 0:
+            raise ScenarioError(f"scenario.publish_period_s must be > 0, not "
+                                f"{self.publish_period_s}")
         if self.interval_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("duration_s and interval_s must be positive")
         if self.interval_s > self.duration_s:
@@ -369,9 +372,7 @@ class ProtocolRuntime:
                 conn = self.node.streams.connect(action.dst)
                 self.conn_by_peer[action.dst] = conn
             elif isinstance(action, act.CloseStream):
-                conn = self.conn_by_peer.get(action.dst)
-                if conn is not None:
-                    self.node.streams.close(conn)
+                self.node.streams.close(self.conn_by_peer[action.dst])
             elif isinstance(action, act.Notify):
                 self._note(action.kind, action.detail)
 
@@ -399,7 +400,6 @@ class ProtocolRuntime:
             fire_at = seconds_to_ticks(action.at_s)
         else:
             fire_at = self.engine.now + seconds_to_ticks(action.delay_s)
-        fire_at = max(fire_at, self.engine.now)
         self.timers[action.key] = self.engine.call_at(fire_at, self._timer_fired, action.key)
 
     def _timer_fired(self, key: str) -> None:

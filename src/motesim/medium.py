@@ -654,8 +654,8 @@ class StreamTransport:
         self._try_send(conn)
 
     def close(self, conn: StreamConn) -> None:
-        if conn.state in ("CLOSING", "CLOSED"):
-            return
+        """Queue a FIN. `conn` is ESTABLISHED: only a client closes, and only a
+        connection it saw come up and not go down."""
         conn.state = "CLOSING"
         fin = StreamSegment("fin", conn.conn_id, conn.send_seq)
         conn.send_seq += 1
@@ -683,8 +683,7 @@ class StreamTransport:
         self.node.send_frame(RadioFrame(self.node.node_id, conn.peer, length, seg))
 
     def _on_rto(self, conn: StreamConn, seg: StreamSegment) -> None:
-        if conn.inflight is not seg:
-            return
+        """Resend `seg` or give up. `seg` is in flight: `_ack_inflight` cancels this RTO."""
         if conn.retries_left <= 0:
             conn.inflight = None
             conn.state = "CLOSED"
@@ -707,13 +706,13 @@ class StreamTransport:
     # -- inbound segments ------------------------------------------------------
 
     def on_segment(self, src: str, seg: StreamSegment) -> None:
+        """Only a syn can lack its connection: `conns` forgets none, and no end
+        sends another kind of segment before its peer holds the connection."""
         conn = self.conns.get(seg.conn_id)
         if seg.kind == "syn":
             if conn is None:
                 conn = self.conns[seg.conn_id] = StreamConn(seg.conn_id, src, "SYN_RCVD")
             self._send_ctrl(conn, "synack")
-        elif conn is None:
-            return  # stale segment for a forgotten connection
         elif seg.kind == "synack":  # only ever reaches the opener; a duplicate is re-acked
             self._send_ctrl(conn, "ack", HANDSHAKE_ACK)
             if conn.state == "SYN_SENT":

@@ -126,9 +126,7 @@ def next_grid_time(now_s: float, offset_s: float, period_s: float) -> float:
 
 
 def start_grid_timer(key: str, now_s: float, offset_s: float, period_s: float) -> list:
-    """Arm timer `key` for the next grid slot after now_s; no timer if period_s <= 0."""
-    if period_s <= 0:
-        return []
+    """Arm timer `key` for the next grid slot after now_s; validate() keeps period_s > 0."""
     return [StartTimer(key, at_s=next_grid_time(now_s, offset_s, period_s))]
 
 
@@ -153,11 +151,9 @@ def acked(state, key: str) -> list:
 
 def resend(state, key: str, max_resends: int, failed: Notify, backoff: float = 1.0) -> list:
     """Timer `key` fired: resend its message and rearm with the timeout times
-    backoff, or forget it and return [failed] after max_resends resends."""
-    entry = state.unacked.get(key)
-    if entry is None:
-        return []
-    msg, resends, timeout_s = entry
+    backoff, or forget it and return [failed] after max_resends resends.
+    acked() stops the timer, so `key` is still unacked."""
+    msg, resends, timeout_s = state.unacked[key]
     if resends >= max_resends:
         del state.unacked[key]
         return [failed]

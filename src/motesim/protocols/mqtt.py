@@ -95,10 +95,8 @@ def mqtt_client_step(state: MqttClientState, event) -> list:
             actions = [StopTimer("connack")]
             while state.pending:
                 actions += _emit_publish(state, state.pending.popleft())
-            actions += start_grid_timer("publish", event.now_s, cfg.offset_s, cfg.period_s)
-            if actions[1:]:
-                actions += _rearm_ping()
-            return actions
+            return actions + start_grid_timer(
+                "publish", event.now_s, cfg.offset_s, cfg.period_s) + _rearm_ping()
         if msg.type == MQTT_PUBACK:
             return acked(state, f"puback:{msg.msg_id}")
 

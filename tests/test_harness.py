@@ -333,6 +333,16 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "absent.ini")
 
 
+@pytest.mark.parametrize("period", [0, -1, -0.0])
+def test_a_publish_period_must_be_positive(tmp_path, period):
+    with pytest.raises(ScenarioError, match=r"scenario\.publish_period_s"):
+        ScenarioConfig(publish_period_s=period).validate()
+    path = tmp_path / "s.ini"
+    path.write_text(f"[scenario]\npublish_period_s = {period}\n")
+    with pytest.raises(ScenarioError, match=r"scenario\.publish_period_s"):
+        load_scenario(path)
+
+
 def test_load_scenario_names_the_bad_key(tmp_path):
     path = tmp_path / "s.ini"
     path.write_text("[scenario]\nduration_s = ten\n")
@@ -394,6 +404,20 @@ def test_simulate_two_clients():
     assert _error_kinds(sim) == []
     for client in ("client-1", "client-2"):
         assert sim.traces[client].avg.tx_mw > 0.0
+
+
+def test_a_reply_on_a_connection_the_broker_no_longer_maps_is_noted_as_send_dropped():
+    # client-1's closing connection fails at 10.3 s and its StreamDown marks the live one
+    # lost, so the client opens another while the old one stays up and drains queued
+    # PUBLISHes; the broker takes one at 17.55 s, just after the connection it maps to
+    # client-1 failed, and has no stream to PUBACK it on
+    config = ScenarioConfig(protocol="mqtt", clients=2, seed=86, rx_success=0.6,
+                            publish_period_s=0.3, publish_offset_s=0.1,
+                            cpu_cost=CpuCostModel(0, 0), duty=DutyCycleConfig(False), **SHORT)
+    sim = simulate(config)
+    assert [row.interval_end_s for row in sim.report_trace().rows] == [10.0, 20.0]
+    dropped = [(node, detail) for _, node, kind, detail in sim.events if kind == "send-dropped"]
+    assert dropped == [("server", "no established stream to client-1")]
 
 
 def test_runtime_notes_an_unparsable_datagram():

@@ -42,6 +42,9 @@ def test_next_grid_time_lands_on_offset_plus_period_multiples():
     assert next_grid_time(1.0, 1.0, 5.0) == 6.0  # strictly after now
     assert next_grid_time(7.2, 1.0, 5.0) == 11.0
     assert next_grid_time(95.99, 1.0, 5.0) == 96.0
+    # int((1.0 - 0.3) / 0.1) is 6, so the first slot tried is 0.3 + 7 * 0.1 == 1.0, which is
+    # now; a timer armed there would fire and re-arm on the same tick forever
+    assert next_grid_time(1.0, 0.3, 0.1) == 1.1
 
 
 # ---------------------------------------------------------------------------
